@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -22,7 +21,7 @@ from .pipeline import (
     summary_lines,
     validate_command,
 )
-from .records import FieldMap, ParseError, record_to_json_dict
+from .records import FieldMap, ParseError, _parse_date, record_to_json_dict
 from .shredder import MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST, ShredConfig, shred
 from .similarity import format_report_table
 
@@ -47,19 +46,6 @@ def _pick(flag, file_config: dict, key: str, default):
     if flag is not None:
         return flag
     return file_config.get(key, default)
-
-
-def _parse_timestamp(value: str) -> datetime:
-    text = value.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    try:
-        moment = datetime.fromisoformat(text)
-    except ValueError:
-        raise click.UsageError(f"not an ISO timestamp: {value!r}")
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment
 
 
 def _parse_thresholds(value: str) -> list[float]:
@@ -229,8 +215,10 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, dr
 
 
 @main.command()
-@click.option("--start", required=True, help="Window start (ISO timestamp, UTC assumed).")
-@click.option("--end", required=True, help="Window end (ISO timestamp, inclusive).")
+@click.option("--start", required=True,
+              help="Window start (ISO or YYYYMMDDHHMMSS timestamp, UTC assumed).")
+@click.option("--end", required=True,
+              help="Window end (ISO or YYYYMMDDHHMMSS timestamp, inclusive).")
 @click.option("--dest", required=True, type=click.Path(), help="Directory for downloaded files.")
 @click.option("--template", default=DEFAULT_FETCH_TEMPLATE, show_default=True,
               help="URL pattern; {timestamp} expands to YYYYMMDDHHMMSS per 15-minute tick.")
@@ -241,8 +229,10 @@ def fetch(start, end, dest, template, timeout):
     Missing ticks are skipped with a warning; an entirely empty window is not
     an error.
     """
-    start_ts = _parse_timestamp(start)
-    end_ts = _parse_timestamp(end)
+    start_ts, end_ts = _parse_date(start), _parse_date(end)
+    for flag, value, moment in (("--start", start, start_ts), ("--end", end, end_ts)):
+        if moment is None:
+            raise click.UsageError(f"{flag} is not an ISO or YYYYMMDDHHMMSS timestamp: {value!r}")
     if start_ts > end_ts:
         raise click.UsageError("--start must not be after --end")
     try:

@@ -8,13 +8,10 @@ treated as the same version of a text.
 
 from __future__ import annotations
 
-import difflib
 import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 _NON_ALNUM = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -73,9 +70,12 @@ def levenshtein_distance(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions and
     substitutions turning ``a`` into ``b``.
 
-    Exact dynamic programming, vectorized one row at a time so article-sized
-    strings stay fast; a common prefix/suffix is trimmed first since it can
-    never contribute edits.
+    Myers' bit-parallel edit distance (Myers, JACM 1999) in Hyyrö's form for
+    the global distance: one column of the DP matrix is held as vertical
+    +1/-1 delta bit vectors over the shorter string, in Python ints of any
+    width, and each character of the longer string advances it with a
+    constant number of integer operations. A common prefix/suffix is trimmed
+    first since it can never contribute edits.
     """
     if a == b:
         return 0
@@ -92,25 +92,31 @@ def levenshtein_distance(a: str, b: str) -> int:
     if not b:
         return len(a)
     if len(a) > len(b):
-        a, b = b, a  # iterate rows over the shorter string
+        a, b = b, a  # bit vectors span the shorter string
 
-    ca = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    cb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    m = cb.size
-    offsets = np.arange(m + 1, dtype=np.int64)
-    prev = offsets.copy()
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(ca.size):
-        # substitution / deletion candidates are row-independent...
-        np.minimum(prev[:-1] + (cb != ca[i]), prev[1:] + 1, out=cur[1:])
-        cur[0] = i + 1
-        # ...the insertion chain cur[j] = min(cur[j], cur[j-1] + 1) resolves
-        # as a running minimum of cur[j] - j
-        np.subtract(cur, offsets, out=cur)
-        np.minimum.accumulate(cur, out=cur)
-        np.add(cur, offsets, out=cur)
-        prev, cur = cur, prev
-    return int(prev[-1])
+    peq: dict[str, int] = {}
+    for i, char in enumerate(a):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    vp, vn = mask, 0  # column 0 is 0, 1, ..., len(a): every delta is +1
+    dist = len(a)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        # row 0 is 0, 1, ..., len(b): a +1 horizontal delta enters at the top
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -121,19 +127,89 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein_distance(a, b) / total
 
 
+def _longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int):
+    """Longest common block ``(i, j, size)`` of ``a[alo:ahi]`` and
+    ``b[blo:bhi]``: earliest in ``a`` on ties, then earliest in ``b``.
+
+    Builds a suffix automaton over the ``b`` range (Blumer et al. 1985), each
+    state keeping the first end position of its strings, then walks the
+    ``a`` range through it tracking the longest suffix that occurs in ``b``.
+    Linear in the two range lengths.
+    """
+    length, link, first, trans = [0], [-1], [-1], [{}]
+    last = 0
+    for pos in range(blo, bhi):
+        char = b[pos]
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        first.append(pos)
+        trans.append({})
+        p = last
+        while p != -1 and char not in trans[p]:
+            trans[p][char] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][char]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                first.append(first[q])
+                trans.append(trans[q].copy())
+                while p != -1 and trans[p].get(char) == q:
+                    trans[p][char] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+
+    best_i, best_j, best = alo, blo, 0
+    state = size = 0
+    for pos in range(alo, ahi):
+        char = a[pos]
+        while state and char not in trans[state]:
+            state = link[state]
+            size = length[state]
+        state = trans[state].get(char, 0)
+        if not state:
+            size = 0
+            continue
+        size += 1
+        # strict > keeps the earliest end, hence the earliest start, in a;
+        # the state's first end position gives the earliest start in b
+        if size > best:
+            best_i, best_j, best = pos - size + 1, first[state] - size + 1, size
+    return best_i, best_j, best
+
+
 def sequence_matcher_similarity(a: str, b: str) -> tuple[float, SequenceMatchStats]:
     """Similarity ratio 2M/TC from recursive longest-contiguous-block matching.
 
-    The matcher repeatedly takes the longest common block (earliest in ``a``
-    on ties, then earliest in ``b``) and recurses on the text before and after
-    it. No junk or popularity heuristics are applied, so the result is a pure
-    function of the two strings. Both empty counts as identical (ratio 1).
+    Ratcliff-Obershelp matching (Ratcliff & Metzener 1988): take the longest
+    common block (earliest in ``a`` on ties, then earliest in ``b``) and
+    recurse on the text before and after it, run as an explicit stack of
+    ranges. Each block search is a suffix-automaton scan, linear in the range
+    lengths. No junk or popularity heuristics are applied, so the result is a
+    pure function of the two strings and equals the standard library's
+    ``SequenceMatcher`` with ``autojunk=False``. Both empty counts as
+    identical (ratio 1).
     """
     if a == b:
         # the whole string is the single matching block
         return 1.0, SequenceMatchStats(matching_chars=len(a), total_chars=2 * len(a))
-    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
-    matching = sum(size for _, _, size in matcher.get_matching_blocks())
+    matching = 0
+    stack = [(0, len(a), 0, len(b))]
+    while stack:
+        alo, ahi, blo, bhi = stack.pop()
+        i, j, size = _longest_block(a, alo, ahi, b, blo, bhi)
+        if size:
+            matching += size
+            if alo < i and blo < j:
+                stack.append((alo, i, blo, j))
+            if i + size < ahi and j + size < bhi:
+                stack.append((i + size, ahi, j + size, bhi))
     total = len(a) + len(b)
     ratio = 1.0 if total == 0 else 2.0 * matching / total
     return ratio, SequenceMatchStats(matching_chars=matching, total_chars=total)

@@ -146,7 +146,10 @@ def test_shred_deterministic_records(runner, tmp_path, rng, vocab, vocab_weights
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_fetch_with_stubbed_http(runner, tmp_path, monkeypatch):
+@pytest.fixture
+def stub_http(monkeypatch):
+    """Replace the HTTP session with one that serves every URL; returns the
+    list of requested URLs."""
     calls = []
 
     class StubResponse:
@@ -164,24 +167,49 @@ def test_fetch_with_stubbed_http(runner, tmp_path, monkeypatch):
     import ngramstitch.pipeline as pipeline_mod
 
     monkeypatch.setattr(pipeline_mod.requests, "Session", StubSession)
-    dest = tmp_path / "downloads"
-    result = runner.invoke(
+    return calls
+
+
+def _fetch(runner, dest, start, end):
+    return runner.invoke(
         main,
         [
             "fetch",
-            "--start", "2023-12-20T10:00:00Z",
-            "--end", "2023-12-20T10:30:00Z",
+            "--start", start,
+            "--end", end,
             "--dest", str(dest),
             "--template", "http://files.test/{timestamp}.gz",
         ],
     )
+
+
+def test_fetch_with_stubbed_http(runner, tmp_path, stub_http):
+    dest = tmp_path / "downloads"
+    result = _fetch(runner, dest, "2023-12-20T10:00:00Z", "2023-12-20T10:30:00Z")
     assert result.exit_code == 0, result.output
-    assert len(calls) == 3
+    assert len(stub_http) == 3
     assert sorted(p.name for p in dest.iterdir()) == [
         "20231220100000.gz",
         "20231220101500.gz",
         "20231220103000.gz",
     ]
+
+
+def test_fetch_accepts_compact_file_name_timestamps(runner, tmp_path, stub_http):
+    # the YYYYMMDDHHMMSS form the feed's own file names carry
+    result = _fetch(runner, tmp_path / "downloads", "20231220100000", "20231220101500")
+    assert result.exit_code == 0, result.output
+    assert stub_http == [
+        "http://files.test/20231220100000.gz",
+        "http://files.test/20231220101500.gz",
+    ]
+
+
+def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, stub_http):
+    result = _fetch(runner, tmp_path, "yesterday", "20231220101500")
+    assert result.exit_code == 2
+    assert "--start" in result.output
+    assert stub_http == []
 
 
 def test_fetch_start_after_end_is_usage_error(runner, tmp_path):

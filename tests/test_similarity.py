@@ -1,8 +1,15 @@
+import difflib
 import math
+import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ngramstitch.assembly import AssemblyConfig
+from ngramstitch.pipeline import reconstruct_group
+from ngramstitch.shredder import MODE_DISTINCT_FIRST, ShredConfig, shred
 from ngramstitch.similarity import (
     SequenceMatchStats,
     format_report_table,
@@ -14,11 +21,27 @@ from ngramstitch.similarity import (
     sequence_matcher_similarity,
     validate_corpus,
 )
+from conftest import make_article
 from oracles import levenshtein_dp, ratcliff_obershelp_matches
 
 
 def random_string(rng, max_len, alphabet="ab"):
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, max_len + 1)))
+
+
+def difflib_matches(a: str, b: str) -> int:
+    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+    return sum(size for _, _, size in matcher.get_matching_blocks())
+
+
+# small alphabets force long repeats and many equal-length ties; the last two
+# mix in non-ASCII letters and characters beyond the BMP
+_ALPHABETS = ["a", "ab", "abc ", "ab\u00e9\U0001f600 ", "x\u4e2d\U0001f600\U00010348"]
+_text_pairs = st.sampled_from(_ALPHABETS).flatmap(
+    lambda alphabet: st.tuples(
+        st.text(alphabet=alphabet, max_size=40), st.text(alphabet=alphabet, max_size=40)
+    )
+)
 
 
 class TestPreprocess:
@@ -82,6 +105,19 @@ class TestLevenshtein:
     def test_unicode_beyond_bmp(self):
         assert levenshtein_distance("a\U0001f600b", "ab") == 1
 
+    def test_longer_than_a_machine_word(self):
+        # bit vectors wider than 64 bits, the shorter string on either side
+        a = "ab" * 50 + "c" * 30
+        b = "ba" * 45 + "c" * 41
+        assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
+        assert levenshtein_distance(b, a) == levenshtein_dp(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_text_pairs)
+    def test_property_equals_dp_oracle(self, pair):
+        a, b = pair
+        assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
+
 
 class TestSequenceMatcher:
     def test_identical(self):
@@ -108,6 +144,32 @@ class TestSequenceMatcher:
             b = random_string(rng, 30, alphabet)
             _, stats = sequence_matcher_similarity(a, b)
             assert stats.matching_chars == ratcliff_obershelp_matches(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_text_pairs)
+    def test_property_equals_difflib(self, pair):
+        a, b = pair
+        ratio, stats = sequence_matcher_similarity(a, b)
+        assert stats.matching_chars == difflib_matches(a, b)
+        assert stats.total_chars == len(a) + len(b)
+        if a or b:
+            assert ratio == 2.0 * stats.matching_chars / (len(a) + len(b))
+
+    def test_shredded_articles_equal_difflib(self, vocab, vocab_weights):
+        # article-length reconstructions at 30% record loss plus one missed
+        # stretch: long blocks between gaps and fragments that never anchor
+        rng = random.Random(4021)
+        for seed in range(3):
+            text = make_article(rng, rng.randrange(150, 250), vocab, vocab_weights)
+            config = ShredConfig(window=7, mode=MODE_DISTINCT_FIRST, drop_rate=0.3, seed=seed)
+            records = shred(text, config, url="https://n.test/a")
+            cut = len(records) // 2
+            del records[cut : cut + 10]
+            article = reconstruct_group("https://n.test/a", records, AssemblyConfig())
+            recon, ref = preprocess(article.text).text, preprocess(text).text
+            assert recon != ref
+            for a, b in ((recon, ref), (ref, recon)):
+                assert sequence_matcher_similarity(a, b)[1].matching_chars == difflib_matches(a, b)
 
     def test_stats_invariant(self, rng):
         for _ in range(100):
