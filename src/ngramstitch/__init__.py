@@ -4,7 +4,6 @@ from .assembly import (
     ArticleDraft,
     AssemblyConfig,
     assemble,
-    best_overlap,
     deduplicate,
     select_seed,
 )

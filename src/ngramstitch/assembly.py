@@ -3,19 +3,20 @@
 The draft starts from the earliest-positioned fragment and grows by merging,
 each round, the unplaced fragment with the largest word overlap against either
 end of the draft, as long as the fragment's position decile is close enough to
-that end. Fragments that never reach the overlap threshold are appended at the
-end in position order so no content is silently lost. A final pass collapses
-adjacent duplicated runs introduced at bad junctions.
+that end. Any overlap of at least ``min_overlap`` (m) words starts with the
+fragment's first m words or ends with its last m, so one index of those m-word
+keys finds every candidate and a slice compare confirms it. Fragments that
+never reach the overlap threshold are appended at the end in position order so
+no content is silently lost. A final pass collapses adjacent duplicated runs
+introduced at bad junctions, finding candidates through an index of m-word
+starts in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 from .fragments import Fragment
-
-OverlapMode = Literal["append", "prepend"]
 
 
 @dataclass
@@ -60,51 +61,12 @@ def select_seed(fragments: list[Fragment]) -> Fragment:
     return min(fragments, key=lambda f: (f.pos, -len(f.words), f.source_index))
 
 
-def best_overlap(
-    draft: ArticleDraft, fragment: Fragment, config: AssemblyConfig
-) -> tuple[OverlapMode | None, int]:
-    """Largest word overlap between the fragment and either draft end.
-
-    The append candidate is the largest k with the draft's last k words equal
-    to the fragment's first k; the prepend candidate mirrors that at the draft
-    start. Each side only counts when the fragment's pos lies within
-    ``pos_window`` of that end's pos. Returns (mode, k) for the larger
-    candidate, append winning ties, or (None, 0) when neither side overlaps.
-    """
-    dw, fw = draft.words, fragment.words
-    limit = min(len(dw), len(fw))
-    append_k = prepend_k = 0
-    if abs(fragment.pos - draft.tail_pos) <= config.pos_window:
-        for k in range(limit, 0, -1):
-            if dw[len(dw) - k :] == fw[:k]:
-                append_k = k
-                break
-    if abs(fragment.pos - draft.head_pos) <= config.pos_window:
-        for k in range(limit, 0, -1):
-            if fw[len(fw) - k :] == dw[:k]:
-                prepend_k = k
-                break
-    if append_k == 0 and prepend_k == 0:
-        return None, 0
-    if append_k >= prepend_k:
-        return "append", append_k
-    return "prepend", prepend_k
-
-
-def _build_edge_index(items: list[Fragment], min_k: int):
-    """Index fragment prefixes and suffixes by length, for O(1) edge lookups.
-
-    prefix[k] maps the tuple of a fragment's first k words to the item ids
-    carrying that prefix (append candidates); suffix[k] mirrors the last k
-    words (prepend candidates). Only k >= min_k can ever be merged.
-    """
-    prefix: dict[int, dict[tuple, list[int]]] = {}
-    suffix: dict[int, dict[tuple, list[int]]] = {}
-    for idx, frag in enumerate(items):
-        for k in range(min_k, len(frag.words) + 1):
-            prefix.setdefault(k, {}).setdefault(tuple(frag.words[:k]), []).append(idx)
-            suffix.setdefault(k, {}).setdefault(tuple(frag.words[-k:]), []).append(idx)
-    return prefix, suffix
+def _index(keys) -> dict[tuple, list[int]]:
+    """Map each key to the ordinals at which it occurs, in increasing order."""
+    index: dict[tuple, list[int]] = {}
+    for ordinal, key in enumerate(keys):
+        index.setdefault(key, []).append(ordinal)
+    return index
 
 
 def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) -> ArticleDraft:
@@ -131,50 +93,45 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
     if not items:
         return draft
 
-    prefix_idx, suffix_idx = _build_edge_index(items, cfg.min_overlap)
+    m = cfg.min_overlap
+    heads = _index(tuple(f.words[:m]) for f in items)
+    tails = _index(tuple(f.words[-m:]) for f in items)
     max_k = max(len(f.words) for f in items)
     active = set(range(len(items)))
 
     while active:
-        chosen = None  # (pos, source_index, item idx, mode, k)
-        for k in range(min(max_k, len(draft.words)), cfg.min_overlap - 1, -1):
+        dw = draft.words
+        n = len(dw)
+        for k in range(min(max_k, n), m - 1, -1):
             candidates: list[tuple[int, int, int, str]] = []
-            seen: set[int] = set()
-            by_prefix = prefix_idx.get(k)
-            if by_prefix is not None:
-                hits = by_prefix.get(tuple(draft.words[len(draft.words) - k :]))
-                if hits:
-                    for idx in hits:
-                        if idx in active:
-                            frag = items[idx]
-                            if abs(frag.pos - draft.tail_pos) <= cfg.pos_window:
-                                candidates.append((frag.pos, frag.source_index, idx, "append"))
-                                seen.add(idx)
-            by_suffix = suffix_idx.get(k)
-            if by_suffix is not None:
-                hits = by_suffix.get(tuple(draft.words[:k]))
-                if hits:
-                    for idx in hits:
-                        # append wins when both directions tie at the same k
-                        if idx in active and idx not in seen:
-                            frag = items[idx]
-                            if abs(frag.pos - draft.head_pos) <= cfg.pos_window:
-                                candidates.append((frag.pos, frag.source_index, idx, "prepend"))
+            # append: the fragment's first k words are the draft's last k
+            for idx in heads.get(tuple(dw[n - k : n - k + m]), ()):
+                frag = items[idx]
+                if idx in active and abs(frag.pos - draft.tail_pos) <= cfg.pos_window and (
+                    frag.words[:k] == dw[n - k :]
+                ):
+                    candidates.append((frag.pos, frag.source_index, idx, "append"))
+            # prepend: the fragment's last k words are the draft's first k
+            for idx in tails.get(tuple(dw[k - m : k]), ()):
+                frag = items[idx]
+                if idx in active and abs(frag.pos - draft.head_pos) <= cfg.pos_window and (
+                    frag.words[-k:] == dw[:k]
+                ):
+                    candidates.append((frag.pos, frag.source_index, idx, "prepend"))
             if candidates:
-                pos, source_index, idx, mode = min(candidates)
-                chosen = (idx, mode, k)
                 break
-        if chosen is None:
-            break
+        else:
+            break  # no fragment reaches min_overlap at either end
 
-        idx, mode, k = chosen
+        # "append" < "prepend", so a fragment fitting both ends at this k appends
+        _, _, idx, mode = min(candidates)
         frag = items[idx]
         active.discard(idx)
         if mode == "append":
-            draft.words.extend(frag.words[k:])
+            dw.extend(frag.words[k:])
             draft.tail_pos = max(draft.tail_pos, frag.pos)
         else:
-            draft.words[:0] = frag.words[: len(frag.words) - k]
+            dw[:0] = frag.words[: len(frag.words) - k]
             draft.head_pos = min(draft.head_pos, frag.pos)
         draft.fragments_used += 1
 
@@ -187,30 +144,36 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
     return draft
 
 
+def _leftmost_dup(out: list[str], min_run: int) -> tuple[int, int] | None:
+    """Leftmost (i, k) with out[i:i+k] == out[i+k:i+2k], k >= min_run and k
+    maximal at that i; None when ``out`` holds no such run."""
+    n = len(out)
+    starts = _index(tuple(out[p : p + min_run]) for p in range(n - min_run + 1))
+    for i in range(n - 2 * min_run + 1):
+        for j in reversed(starts[tuple(out[i : i + min_run])]):
+            k = j - i
+            if k < min_run:
+                break
+            if out[i:j] == out[j : j + k]:
+                return i, k
+    return None
+
+
 def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[str]:
     """Collapse adjacent duplicated runs of at least ``min_dup_run`` words.
 
-    Repeatedly finds the leftmost position where some maximal run of k words
-    is immediately followed by an identical run, keeps one copy, and rescans
-    until no such run remains. Only adjacent duplicates are touched, so
-    legitimate long-range repetition (quotes, refrains) survives.
+    Repeatedly finds the leftmost position i where some run of k words is
+    immediately followed by an identical run, takes the largest such k, keeps
+    one copy, and rescans until no such run remains. A second copy of the run
+    starts at j = i + k with the same first ``min_dup_run`` words, so the only
+    candidate lengths at i are k = j - i for the later starts j of that word
+    tuple, taken from one index per pass and tried largest first. Only
+    adjacent duplicates are touched, so legitimate long-range repetition
+    (quotes, refrains) survives.
     """
     cfg = config or AssemblyConfig()
-    min_run = cfg.min_dup_run
     out = list(words)
-    changed = True
-    while changed:
-        changed = False
-        n = len(out)
-        for i in range(0, n - 2 * min_run + 1):
-            for k in range((n - i) // 2, min_run - 1, -1):
-                # cheap guards before slicing: run ends must already agree
-                if out[i] != out[i + k] or out[i + k - 1] != out[i + 2 * k - 1]:
-                    continue
-                if out[i : i + k] == out[i + k : i + 2 * k]:
-                    del out[i + k : i + 2 * k]
-                    changed = True
-                    break
-            if changed:
-                break
+    while (dup := _leftmost_dup(out, cfg.min_dup_run)) is not None:
+        i, k = dup
+        del out[i + k : i + 2 * k]
     return out

@@ -48,6 +48,16 @@ def _pick(flag, file_config: dict, key: str, default):
     return file_config.get(key, default)
 
 
+def _url_patterns(flag: tuple[str, ...], file_config: dict, key: str) -> list[str]:
+    """Repeated flag values if given, else the config file's pattern or list of patterns."""
+    value = list(flag) or file_config.get(key, [])
+    if isinstance(value, str):
+        return [value]
+    if not isinstance(value, list) or not all(isinstance(part, str) for part in value):
+        raise click.UsageError(f"config key {key!r} must be a string or a list of strings")
+    return value
+
+
 def _parse_thresholds(value: str) -> list[float]:
     try:
         thresholds = [float(part) for part in value.split(",") if part.strip()]
@@ -100,8 +110,8 @@ def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
             output=output,
             assembly=assembly,
             langs=langs_value,
-            url_include=list(url_include) or file_config.get("url_include", []),
-            url_exclude=list(url_exclude) or file_config.get("url_exclude", []),
+            url_include=_url_patterns(url_include, file_config, "url_include"),
+            url_exclude=_url_patterns(url_exclude, file_config, "url_exclude"),
             workers=_pick(workers, file_config, "workers", 1),
             field_map=FieldMap.from_dict(file_config.get("field_map", {})),
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable
 
 from .records import NgramRecord
 
@@ -31,14 +30,12 @@ class ShredConfig:
         the first occurrence's context).
     drop_rate: fraction of records withheld at random (seeded), to simulate
         incomplete feed coverage.
-    pos_fn: optional override for the position formula, (index, total) -> pos.
     """
 
     window: int = 7
     mode: str = MODE_ALL_OCCURRENCES
     drop_rate: float = 0.0
     seed: int = 0
-    pos_fn: Callable[[int, int], int] | None = None
 
     def __post_init__(self):
         if self.window < 1:
@@ -70,7 +67,6 @@ def shred(
     if not words:
         raise ValueError("cannot shred empty text")
     total = len(words)
-    pos_fn = cfg.pos_fn or decile_pos
 
     if cfg.mode == MODE_ALL_OCCURRENCES:
         indices = range(total)
@@ -83,14 +79,13 @@ def shred(
     for i in indices:
         if cfg.drop_rate > 0 and rng.random() < cfg.drop_rate:
             continue
-        pos = min(max(pos_fn(i, total), 0), 100)
         records.append(
             NgramRecord(
                 ngram=words[i],
                 url=url,
                 lang=lang,
                 lang_type=1,
-                pos=pos,
+                pos=decile_pos(i, total),
                 pre=" ".join(words[max(0, i - cfg.window) : i]),
                 post=" ".join(words[i + 1 : min(total, i + cfg.window + 1)]),
                 date=date,

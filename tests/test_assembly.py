@@ -1,13 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ngramstitch.assembly import (
-    ArticleDraft,
-    AssemblyConfig,
-    assemble,
-    best_overlap,
-    deduplicate,
-    select_seed,
-)
+from ngramstitch.assembly import AssemblyConfig, assemble, deduplicate, select_seed
 from ngramstitch.fragments import Fragment, build_fragment
 from ngramstitch.shredder import ShredConfig, shred
 from oracles import assemble_reference, dedup_reference, find_adjacent_dup, overlap_scan
@@ -17,13 +12,44 @@ def frag(words, pos, source_index=0):
     return Fragment(words=list(words), pos=pos, source_index=source_index)
 
 
-def draft_of(words, head_pos, tail_pos):
-    return ArticleDraft(words=list(words), head_pos=head_pos, tail_pos=tail_pos)
-
-
 def shred_to_fragments(text, window, mode="all_occurrences", drop_rate=0.0, seed=0):
     records = shred(text, ShredConfig(window=window, mode=mode, drop_rate=drop_rate, seed=seed))
     return [build_fragment(r, i) for i, r in enumerate(records)]
+
+
+@st.composite
+def fragment_soups(draw):
+    """Fragment groups over 1-4-word alphabets: many share their edge words,
+    many are shorter than min_overlap, some repeat another fragment exactly
+    (same words and pos), and positions step by 5 so pos gaps land on both
+    sides of a 10-point window."""
+    letters = st.sampled_from(draw(st.sampled_from(["a", "ab", "abc", "abcd"])))
+    fragments = []
+    for idx in range(draw(st.integers(1, 8))):
+        if fragments and draw(st.integers(0, 4)) == 0:
+            twin = draw(st.sampled_from(fragments))
+            fragments.append(frag(twin.words, twin.pos, idx))
+        else:
+            words = draw(st.lists(letters, min_size=1, max_size=7))
+            fragments.append(frag(words, 5 * draw(st.integers(0, 20)), idx))
+    return fragments
+
+
+@st.composite
+def planted_dups(draw):
+    """Word lists carrying adjacent duplicated runs, some of which hold a
+    shorter duplicated run of their own."""
+    letters = st.sampled_from(draw(st.sampled_from(["ab", "abc", "abcd"])))
+    words = draw(st.lists(letters, max_size=20))
+    for _ in range(draw(st.integers(0, 2))):
+        run = draw(st.lists(letters, min_size=1, max_size=7))
+        if draw(st.booleans()):
+            inner = draw(st.lists(letters, min_size=1, max_size=4))
+            cut = draw(st.integers(0, len(run)))
+            run[cut:cut] = inner + inner
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = run + run
+    return words
 
 
 class TestSelectSeed:
@@ -50,47 +76,66 @@ class TestSelectSeed:
             select_seed([])
 
 
-class TestBestOverlap:
+class TestMergeContract:
+    """Single merges of one fragment onto a seed, checked through ``assemble``."""
+
     def test_append_two_word_overlap(self):
-        draft = draft_of(["the", "quick", "brown", "fox"], 10, 10)
-        mode, k = best_overlap(draft, frag(["brown", "fox", "jumps", "over"], 10), AssemblyConfig())
-        assert (mode, k) == ("append", 2)
+        seed = frag(["the", "quick", "brown", "fox"], 10, 0)
+        draft = assemble([seed, frag(["brown", "fox", "jumps", "over"], 20, 1)],
+                         AssemblyConfig(min_overlap=2))
+        assert draft.words == ["the", "quick", "brown", "fox", "jumps", "over"]
+        assert (draft.head_pos, draft.tail_pos, draft.fragments_unanchored) == (10, 20, 0)
 
     def test_pos_gate_blocks_overlap(self):
-        draft = draft_of(["c", "d", "e"], 50, 50)
-        mode, k = best_overlap(draft, frag(["a", "b", "c"], 0), AssemblyConfig(pos_window=10))
-        assert (mode, k) == (None, 0)
+        fragments = [frag(["c", "d", "e"], 0, 0), frag(["e", "f", "g"], 50, 1)]
+        blocked = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=10))
+        assert blocked.words == ["c", "d", "e", "e", "f", "g"]
+        assert blocked.fragments_unanchored == 1
+        merged = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=50))
+        assert merged.words == ["c", "d", "e", "f", "g"]
+        assert merged.fragments_unanchored == 0
 
     def test_no_shared_boundary(self):
-        draft = draft_of(["x", "y"], 0, 0)
-        assert best_overlap(draft, frag(["p", "q"], 0), AssemblyConfig()) == (None, 0)
+        draft = assemble([frag(["x", "y"], 0, 0), frag(["p", "q"], 0, 1)],
+                         AssemblyConfig(min_overlap=1))
+        assert draft.words == ["x", "y", "p", "q"]
+        assert draft.fragments_unanchored == 1
 
     def test_prepend_detected(self):
-        draft = draft_of(["c", "d", "e"], 20, 20)
-        mode, k = best_overlap(draft, frag(["a", "b", "c"], 10), AssemblyConfig())
-        assert (mode, k) == ("prepend", 1)
+        seed = frag(["c", "d", "e"], 10, 0)
+        draft = assemble([seed, frag(["a", "b", "c"], 10, 1)], AssemblyConfig(min_overlap=1))
+        assert draft.words == ["a", "b", "c", "d", "e"]
+        assert draft.fragments_unanchored == 0
 
     def test_append_wins_ties(self):
-        # fragment overlaps both ends of a palindromic draft with equal k
-        draft = draft_of(["a", "b", "a"], 10, 10)
-        mode, k = best_overlap(draft, frag(["a", "b", "a"], 10), AssemblyConfig())
-        assert mode == "append" and k == 3
+        # the fragment overlaps both ends of a palindromic seed with k = 3;
+        # only an append moves tail_pos onto the fragment's pos
+        fragments = [frag(["a", "b", "a"], 0, 0), frag(["a", "b", "a"], 10, 1)]
+        draft = assemble(fragments, AssemblyConfig(min_overlap=1))
+        assert draft.words == ["a", "b", "a"]
+        assert (draft.head_pos, draft.tail_pos, draft.fragments_unanchored) == (0, 10, 0)
 
     def test_matches_brute_force_scan(self, rng):
-        config = AssemblyConfig(pos_window=100)
         for _ in range(500):
-            dw = [rng.choice("abcd") for _ in range(rng.randrange(1, 10))]
-            fw = [rng.choice("abcd") for _ in range(rng.randrange(1, 10))]
-            draft = draft_of(dw, 0, 0)
-            mode, k = best_overlap(draft, frag(fw, 0), config)
-            append_k = overlap_scan(dw, fw)
-            prepend_k = overlap_scan(fw, dw)
+            fragments = [
+                frag([rng.choice("abcd") for _ in range(rng.randrange(1, 10))], 0, i)
+                for i in range(2)
+            ]
+            seed = select_seed(fragments)
+            other = fragments[1] if seed is fragments[0] else fragments[0]
+            draft = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=100))
+            ref_words, _, ref_unanchored, merges = assemble_reference(fragments, 1, 100)
+            assert draft.words == ref_words
+            assert draft.fragments_unanchored == ref_unanchored
+            append_k = overlap_scan(seed.words, other.words)
+            prepend_k = overlap_scan(other.words, seed.words)
             expected_k = max(append_k, prepend_k)
             if expected_k == 0:
-                assert (mode, k) == (None, 0)
+                assert merges == [] and draft.fragments_unanchored == 1
             else:
-                assert k == expected_k
-                assert mode == ("append" if append_k >= prepend_k else "prepend")
+                mode = "append" if append_k >= prepend_k else "prepend"
+                assert merges == [(other.source_index, mode, expected_k)]
+                assert len(draft.words) == len(seed.words) + len(other.words) - expected_k
 
 
 class TestAssemble:
@@ -166,6 +211,21 @@ class TestAssemble:
             assert draft.fragments_used == ref_used
             assert draft.fragments_unanchored == ref_unanchored
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fragment_soups(),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0, 10, 100]),
+    )
+    def test_property_equals_reference(self, fragments, min_overlap, pos_window):
+        draft = assemble(fragments, AssemblyConfig(min_overlap=min_overlap, pos_window=pos_window))
+        ref_words, ref_used, ref_unanchored, _ = assemble_reference(
+            fragments, min_overlap, pos_window
+        )
+        assert draft.words == ref_words
+        assert draft.fragments_used == ref_used
+        assert draft.fragments_unanchored == ref_unanchored
+
     def test_conservation_when_fully_anchored(self, rng, vocab, vocab_weights):
         from conftest import make_article
 
@@ -240,6 +300,15 @@ class TestDeduplicate:
             words = [rng.choice(["a", "b"]) for _ in range(rng.randrange(0, 40))]
             once = deduplicate(words, config)
             assert deduplicate(once, config) == once
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_dups(), st.integers(2, 6))
+    def test_property_equals_reference_and_idempotent(self, words, min_run):
+        config = AssemblyConfig(min_dup_run=min_run)
+        result = deduplicate(words, config)
+        assert result == dedup_reference(words, min_run)
+        assert deduplicate(result, config) == result
 
 
 class TestConfig:

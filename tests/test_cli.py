@@ -110,6 +110,51 @@ def test_config_file_with_flag_override(runner, tmp_path, rng, vocab, vocab_weig
     assert list(read_corpus(out).values()) == [text]
 
 
+def shred_two_hosts(runner, tmp_path, rng, vocab, vocab_weights):
+    """Records for one article on herald.test and one on other.test."""
+    texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(2)]
+    sources = write_sources(tmp_path, texts)
+    paths = []
+    for host, source in zip(["herald.test", "other.test"], sources):
+        path = tmp_path / f"{host}.ndjson"
+        result = runner.invoke(
+            main, ["shred", str(source), "-o", str(path), "--url-prefix", f"https://{host}/"]
+        )
+        assert result.exit_code == 0, result.output
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "key, pattern, kept_host",
+    [("url_include", "herald.test/", "herald.test"), ("url_exclude", "zzz/", None)],
+)
+def test_config_url_pattern_string_is_one_pattern(
+    runner, tmp_path, rng, vocab, vocab_weights, key, pattern, kept_host
+):
+    inputs = shred_two_hosts(runner, tmp_path, rng, vocab, vocab_weights)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: pattern}))
+    out = tmp_path / "o.ndjson"
+    result = runner.invoke(main, ["reconstruct", *inputs, "-o", str(out), "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    hosts = sorted(url.split("/")[2] for url in read_corpus(out))
+    assert hosts == ([kept_host] if kept_host else ["herald.test", "other.test"])
+
+
+@pytest.mark.parametrize("value", [7, None, {"herald.test": True}, ["herald.test", 3]])
+def test_config_url_pattern_bad_value_is_usage_error(runner, tmp_path, value):
+    records = tmp_path / "r.ndjson"
+    records.write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"url_exclude": value}))
+    result = runner.invoke(
+        main, ["reconstruct", str(records), "-o", str(tmp_path / "o.ndjson"), "--config", str(config)]
+    )
+    assert result.exit_code == 2
+    assert "url_exclude" in result.output
+
+
 def test_validate_missing_file_exit_code(runner, tmp_path):
     ref = tmp_path / "ref.ndjson"
     ref.write_text('{"url": "u", "text": "x"}\n')

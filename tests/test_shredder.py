@@ -81,11 +81,6 @@ def test_empty_text_raises():
         shred("   ")
 
 
-def test_custom_pos_fn():
-    records = shred("a b c", ShredConfig(window=1, pos_fn=lambda i, n: 42))
-    assert [r.pos for r in records] == [42, 42, 42]
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [{"window": 0}, {"drop_rate": 1.0}, {"drop_rate": -0.1}, {"mode": "bogus"}],
