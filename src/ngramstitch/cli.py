@@ -243,10 +243,10 @@ def fetch(start, end, dest, template, timeout):
     for flag, value, moment in (("--start", start, start_ts), ("--end", end, end_ts)):
         if moment is None:
             raise click.UsageError(f"{flag} is not an ISO or YYYYMMDDHHMMSS timestamp: {value!r}")
-    if start_ts > end_ts:
-        raise click.UsageError("--start must not be after --end")
     try:
         paths = fetch_window(start_ts, end_ts, template=template, dest=dest, timeout=timeout)
+    except ValueError as exc:  # --start after --end, or a --template that is no URL
+        raise click.UsageError(str(exc))
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)

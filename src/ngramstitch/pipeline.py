@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
+import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from http.client import HTTPException
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import requests
+from urllib.error import HTTPError
 
 from .assembly import AssemblyConfig, assemble, deduplicate
 from .fragments import build_fragment, strip_wraparound_artifact
@@ -32,12 +34,11 @@ from .similarity import (
 
 logger = logging.getLogger(__name__)
 
-EXIT_OK = 0
-EXIT_CONFIG_ERROR = 2
 EXIT_EMPTY_INPUT = 3
 EXIT_IO_ERROR = 4
 
 FETCH_INTERVAL = timedelta(minutes=15)
+FETCH_ATTEMPTS = 3
 DEFAULT_FETCH_TEMPLATE = (
     "http://data.gdeltproject.org/gdeltv3/webngrams/{timestamp}.webngrams.json.gz"
 )
@@ -314,8 +315,6 @@ def fetch_window(
     end: datetime,
     template: str = DEFAULT_FETCH_TEMPLATE,
     dest: str | Path = ".",
-    session: requests.Session | None = None,
-    attempts: int = 3,
     backoff_base: float = 1.0,
     timeout: float = 60.0,
 ) -> list[Path]:
@@ -323,17 +322,18 @@ def fetch_window(
 
     Bounds are rounded outward to 15-minute boundaries and both endpoints are
     included. The template is expanded with ``{timestamp}`` (YYYYMMDDHHMMSS).
-    Missing ticks (HTTP 404) are skipped with a warning; transient failures
-    (5xx, connection errors, timeouts) are retried with exponential backoff up
-    to ``attempts`` tries, then skipped. Only an unwritable destination is
+    Only HTTP 200 is saved; 404 and any other status below 500 are skipped
+    with a warning. Transient failures (5xx, connection errors, timeouts,
+    truncated bodies) are retried with exponential backoff, up to
+    ``FETCH_ATTEMPTS`` tries, then skipped. Each file is written as
+    ``<name>.part`` and renamed into place, so a killed run leaves no
+    truncated file under the final name. Only an unwritable destination is
     fatal. Returns the paths actually written.
     """
     if start > end:
         raise ValueError("fetch window start must not be after end")
     dest_dir = Path(dest)
     dest_dir.mkdir(parents=True, exist_ok=True)
-    own_session = session is None
-    http = session or requests.Session()
 
     tick = _align_down(start)
     aligned_end = _align_down(end)
@@ -341,43 +341,43 @@ def fetch_window(
         aligned_end += FETCH_INTERVAL
 
     downloaded: list[Path] = []
-    try:
-        while tick <= aligned_end:
-            url = template.format(timestamp=tick.strftime("%Y%m%d%H%M%S"))
-            content = _fetch_one(http, url, attempts, backoff_base, timeout)
-            if content is not None:
-                target = dest_dir / url.rsplit("/", 1)[-1]
-                target.write_bytes(content)
-                downloaded.append(target)
-            tick += FETCH_INTERVAL
-    finally:
-        if own_session:
-            http.close()
+    while tick <= aligned_end:
+        url = template.format(timestamp=tick.strftime("%Y%m%d%H%M%S"))
+        content = _fetch_one(url, backoff_base, timeout)
+        if content is not None:
+            target = dest_dir / url.rsplit("/", 1)[-1]
+            partial = target.with_name(target.name + ".part")
+            partial.write_bytes(content)
+            os.replace(partial, target)
+            downloaded.append(target)
+        tick += FETCH_INTERVAL
     if not downloaded:
         logger.warning("no files downloaded for window %s .. %s", start, end)
     return downloaded
 
 
-def _fetch_one(http, url: str, attempts: int, backoff_base: float, timeout: float):
-    for attempt in range(attempts):
+def _fetch_one(url: str, backoff_base: float, timeout: float) -> bytes | None:
+    for attempt in range(FETCH_ATTEMPTS):
         try:
-            response = http.get(url, timeout=timeout)
-        except requests.RequestException as exc:
-            logger.info("attempt %d for %s failed: %s", attempt + 1, url, exc)
-            response = None
-        else:
-            if response.status_code == 200:
-                return response.content
-            if response.status_code == 404:
-                logger.warning("missing tick (404): %s", url)
-                return None
-            if response.status_code < 500:
-                logger.warning("skipping %s: HTTP %d", url, response.status_code)
-                return None
-            logger.info("attempt %d for %s: HTTP %d", attempt + 1, url, response.status_code)
-        if attempt + 1 < attempts:
+            with urllib.request.urlopen(url, timeout=timeout) as response:
+                status, content = response.status, response.read()
+        except HTTPError as exc:  # status >= 400; an OSError, so it is caught first
+            status, failure = exc.code, exc
+            exc.close()
+        except (OSError, HTTPException) as exc:  # HTTPException includes IncompleteRead
+            status, failure = None, exc
+        if status == 200:
+            return content
+        if status == 404:
+            logger.warning("missing tick (404): %s", url)
+            return None
+        if status is not None and status < 500:
+            logger.warning("skipping %s: HTTP %d", url, status)
+            return None
+        logger.info("attempt %d for %s failed: %s", attempt + 1, url, failure)
+        if attempt + 1 < FETCH_ATTEMPTS:
             time.sleep(backoff_base * (2**attempt))
-    logger.warning("giving up on %s after %d attempts", url, attempts)
+    logger.warning("giving up on %s after %d attempts", url, FETCH_ATTEMPTS)
     return None
 
 

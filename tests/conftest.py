@@ -1,4 +1,6 @@
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -55,3 +57,53 @@ def vocab_weights(vocab):
 @pytest.fixture
 def rng():
     return random.Random(20240517)
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each GET with the next scripted step for its path (404 once the
+    script is empty). A step is a ``(status, body)`` pair, ``"drop"`` (close
+    the connection without a response) or ``"truncate"`` (promise 100 body
+    bytes, send 5, close)."""
+
+    def do_GET(self):
+        server = self.server
+        server.requests.append(self.path)
+        queued = server.script.get(self.path)
+        step = queued.pop(0) if queued else (404, b"")
+        self.close_connection = True
+        if step == "drop":
+            return
+        if step == "truncate":
+            status, body, length = 200, b"short", 100
+        else:
+            (status, body), length = step, len(step[1])
+        self.send_response(status)
+        self.send_header("Content-Length", str(length))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server(monkeypatch):
+    """A real HTTP server on 127.0.0.1 with an ephemeral port.
+
+    Set ``server.script[path]`` to a list of steps (see ``_ScriptedHandler``);
+    ``server.requests`` records every requested path in order, and
+    ``server.base`` is the ``http://127.0.0.1:<port>`` prefix for templates.
+    Proxy variables are cleared so the client talks to the server directly.
+    """
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.script, server.requests = {}, []
+    server.base = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()

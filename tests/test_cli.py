@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -191,31 +195,11 @@ def test_shred_deterministic_records(runner, tmp_path, rng, vocab, vocab_weights
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.fixture
-def stub_http(monkeypatch):
-    """Replace the HTTP session with one that serves every URL; returns the
-    list of requested URLs."""
-    calls = []
-
-    class StubResponse:
-        status_code = 200
-        content = b"data"
-
-    class StubSession:
-        def get(self, url, timeout=None):
-            calls.append(url)
-            return StubResponse()
-
-        def close(self):
-            pass
-
-    import ngramstitch.pipeline as pipeline_mod
-
-    monkeypatch.setattr(pipeline_mod.requests, "Session", StubSession)
-    return calls
-
-
-def _fetch(runner, dest, start, end):
+def _fetch(runner, server, dest, start, end):
+    """Run ``fetch`` against the loopback server, which serves every tick of
+    10:00-10:30 on 2023-12-20."""
+    for hhmm in ("1000", "1015", "1030"):
+        server.script[f"/20231220{hhmm}00.gz"] = [(200, b"data")]
     return runner.invoke(
         main,
         [
@@ -223,16 +207,16 @@ def _fetch(runner, dest, start, end):
             "--start", start,
             "--end", end,
             "--dest", str(dest),
-            "--template", "http://files.test/{timestamp}.gz",
+            "--template", server.base + "/{timestamp}.gz",
         ],
     )
 
 
-def test_fetch_with_stubbed_http(runner, tmp_path, stub_http):
+def test_fetch_over_http(runner, tmp_path, http_server):
     dest = tmp_path / "downloads"
-    result = _fetch(runner, dest, "2023-12-20T10:00:00Z", "2023-12-20T10:30:00Z")
+    result = _fetch(runner, http_server, dest, "2023-12-20T10:00:00Z", "2023-12-20T10:30:00Z")
     assert result.exit_code == 0, result.output
-    assert len(stub_http) == 3
+    assert len(http_server.requests) == 3
     assert sorted(p.name for p in dest.iterdir()) == [
         "20231220100000.gz",
         "20231220101500.gz",
@@ -240,21 +224,43 @@ def test_fetch_with_stubbed_http(runner, tmp_path, stub_http):
     ]
 
 
-def test_fetch_accepts_compact_file_name_timestamps(runner, tmp_path, stub_http):
+def test_fetch_accepts_compact_file_name_timestamps(runner, tmp_path, http_server):
     # the YYYYMMDDHHMMSS form the feed's own file names carry
-    result = _fetch(runner, tmp_path / "downloads", "20231220100000", "20231220101500")
+    result = _fetch(runner, http_server, tmp_path / "downloads", "20231220100000", "20231220101500")
     assert result.exit_code == 0, result.output
-    assert stub_http == [
-        "http://files.test/20231220100000.gz",
-        "http://files.test/20231220101500.gz",
-    ]
+    assert http_server.requests == ["/20231220100000.gz", "/20231220101500.gz"]
 
 
-def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, stub_http):
-    result = _fetch(runner, tmp_path, "yesterday", "20231220101500")
+def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_server):
+    result = _fetch(runner, http_server, tmp_path, "yesterday", "20231220101500")
     assert result.exit_code == 2
     assert "--start" in result.output
-    assert stub_http == []
+    assert http_server.requests == []
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [("files.test/{timestamp}.gz", "unknown url type"), ("http://files.test/{", "Single '{'")],
+)
+def test_fetch_bad_template_is_usage_error(runner, tmp_path, template, message):
+    result = runner.invoke(
+        main,
+        ["fetch", "--start", "20231220100000", "--end", "20231220100000",
+         "--dest", str(tmp_path), "--template", template],
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_cli_import_loads_no_http_library():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ngramstitch.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_fetch_start_after_end_is_usage_error(runner, tmp_path):

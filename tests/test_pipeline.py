@@ -1,4 +1,5 @@
 import gzip
+import inspect
 import json
 import os
 import stat
@@ -9,6 +10,7 @@ import pytest
 
 from ngramstitch.assembly import AssemblyConfig
 from ngramstitch.pipeline import (
+    DEFAULT_FETCH_TEMPLATE,
     EmptyInputError,
     RunConfig,
     expand_inputs,
@@ -251,113 +253,96 @@ class TestValidateCommand:
             validate_command(bad, good)
 
 
-class FakeResponse:
-    def __init__(self, status_code, content=b""):
-        self.status_code = status_code
-        self.content = content
-
-
-class FakeSession:
-    """Scripted HTTP session: pops one queued response (or exception) per call."""
-
-    def __init__(self, script):
-        self.script = dict(script)
-        self.default = FakeResponse(404)
-        self.calls = []
-
-    def get(self, url, timeout=None):
-        self.calls.append(url)
-        queued = self.script.get(url)
-        if queued:
-            item = queued.pop(0)
-            if isinstance(item, Exception):
-                raise item
-            return item
-        return self.default
-
-    def close(self):
-        pass
+# script for one tick's path -> (file written?, requests made)
+FETCH_POLICY = {
+    "200": ([(200, b"payload")], True, 1),
+    "404": ([(404, b"")], False, 1),
+    "503": ([(503, b"")] * 5, False, 3),
+    "204": ([(204, b"")], False, 1),
+    "truncated body": (["truncate"] * 5, False, 3),
+    "drop, 500, 200": (["drop", (500, b""), (200, b"payload")], True, 3),
+}
 
 
 class TestFetchWindow:
     def ts(self, minute, hour=10):
         return datetime(2023, 12, 20, hour, minute, tzinfo=timezone.utc)
 
-    def test_one_hour_is_five_ticks(self, tmp_path):
-        session = FakeSession({})
-        fetch_window(self.ts(0), self.ts(0, hour=11), dest=tmp_path, session=session, backoff_base=0)
-        assert len(session.calls) == 5
-
-    def test_start_equals_end_is_one_tick(self, tmp_path):
-        session = FakeSession({})
-        fetch_window(self.ts(15), self.ts(15), dest=tmp_path, session=session, backoff_base=0)
-        assert len(session.calls) == 1
-
-    def test_unaligned_bounds_round_outward(self, tmp_path):
-        session = FakeSession({})
-        fetch_window(self.ts(7), self.ts(52), dest=tmp_path, session=session, backoff_base=0)
-        # 10:00, 10:15, 10:30, 10:45, 11:00
-        assert len(session.calls) == 5
-        assert session.calls[0].startswith("http://data.gdeltproject.org")
-        assert "20231220100000" in session.calls[0]
-        assert "20231220110000" in session.calls[-1]
-
-    def test_all_missing_returns_empty(self, tmp_path):
-        session = FakeSession({})
-        paths = fetch_window(self.ts(0), self.ts(30), dest=tmp_path, session=session, backoff_base=0)
-        assert paths == []
-
-    def test_downloads_written(self, tmp_path):
-        template = "http://files.test/{timestamp}.ndjson.gz"
-        url = "http://files.test/20231220100000.ndjson.gz"
-        session = FakeSession({url: [FakeResponse(200, b"payload")]})
-        paths = fetch_window(
-            self.ts(0), self.ts(0), template=template, dest=tmp_path, session=session, backoff_base=0
+    def fetch(self, server, start, end, dest):
+        return fetch_window(
+            start, end, template=server.base + "/{timestamp}.gz", dest=dest, backoff_base=0
         )
-        assert paths == [tmp_path / "20231220100000.ndjson.gz"]
-        assert paths[0].read_bytes() == b"payload"
 
-    def test_transient_error_retried(self, tmp_path):
-        import requests
+    @pytest.mark.parametrize(
+        "script, written, requests_made", FETCH_POLICY.values(), ids=FETCH_POLICY
+    )
+    def test_status_policy(self, tmp_path, http_server, script, written, requests_made):
+        http_server.script["/20231220100000.gz"] = list(script)
+        paths = self.fetch(http_server, self.ts(0), self.ts(0), tmp_path)
+        assert http_server.requests == ["/20231220100000.gz"] * requests_made
+        if written:
+            assert paths == [tmp_path / "20231220100000.gz"]
+            assert paths[0].read_bytes() == b"payload"
+        else:
+            assert paths == [] and list(tmp_path.iterdir()) == []
 
-        template = "http://files.test/{timestamp}.bin"
-        url = "http://files.test/20231220100000.bin"
-        session = FakeSession(
-            {url: [requests.ConnectionError("boom"), FakeResponse(500), FakeResponse(200, b"ok")]}
-        )
-        paths = fetch_window(
-            self.ts(0), self.ts(0), template=template, dest=tmp_path, session=session, backoff_base=0
-        )
-        assert len(paths) == 1 and paths[0].read_bytes() == b"ok"
-        assert len(session.calls) == 3
+    def test_one_hour_is_five_ticks(self, tmp_path, http_server):
+        self.fetch(http_server, self.ts(0), self.ts(0, hour=11), tmp_path)
+        assert len(http_server.requests) == 5
 
-    def test_gives_up_after_attempts(self, tmp_path):
-        template = "http://files.test/{timestamp}.bin"
-        url = "http://files.test/20231220100000.bin"
-        session = FakeSession({url: [FakeResponse(503)] * 5})
-        paths = fetch_window(
-            self.ts(0), self.ts(0), template=template, dest=tmp_path, session=session, backoff_base=0
-        )
-        assert paths == []
-        assert len(session.calls) == 3
+    def test_start_equals_end_is_one_tick(self, tmp_path, http_server):
+        self.fetch(http_server, self.ts(15), self.ts(15), tmp_path)
+        assert len(http_server.requests) == 1
 
-    def test_start_after_end_rejected(self, tmp_path):
+    def test_unaligned_bounds_round_outward(self, tmp_path, http_server):
+        self.fetch(http_server, self.ts(7), self.ts(52), tmp_path)
+        assert http_server.requests == [
+            f"/20231220{hhmm}00.gz" for hhmm in ("1000", "1015", "1030", "1045", "1100")
+        ]
+
+    def test_default_template_is_the_gdelt_feed(self):
+        assert DEFAULT_FETCH_TEMPLATE.startswith("http://data.gdeltproject.org/")
+        default = inspect.signature(fetch_window).parameters["template"].default
+        assert default == DEFAULT_FETCH_TEMPLATE
+
+    def test_all_missing_returns_empty(self, tmp_path, http_server):
+        assert self.fetch(http_server, self.ts(0), self.ts(30), tmp_path) == []
+
+    def test_downloads_leave_only_final_names(self, tmp_path, http_server):
+        (tmp_path / "x.gz.part").write_bytes(b"stale")
+        for path in ("/20231220100000.gz", "/20231220101500.gz"):
+            http_server.script[path] = [(200, b"payload")]
+        paths = self.fetch(http_server, self.ts(0), self.ts(15), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "20231220100000.gz",
+            "20231220101500.gz",
+            "x.gz.part",
+        ]
+        assert expand_inputs([tmp_path]) == paths
+
+    def test_killed_write_leaves_no_final_name(self, tmp_path, http_server, monkeypatch):
+        def killed_mid_write(path, data):
+            with open(path, "wb") as fh:
+                fh.write(data[:3])
+            raise KeyboardInterrupt
+
+        http_server.script["/20231220100000.gz"] = [(200, b"payload")]
+        monkeypatch.setattr(Path, "write_bytes", killed_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            self.fetch(http_server, self.ts(0), self.ts(0), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["20231220100000.gz.part"]
+        assert expand_inputs([tmp_path]) == []
+
+    def test_start_after_end_rejected(self, tmp_path, http_server):
         with pytest.raises(ValueError):
-            fetch_window(self.ts(30), self.ts(0), dest=tmp_path, session=FakeSession({}))
+            self.fetch(http_server, self.ts(30), self.ts(0), tmp_path)
+        assert http_server.requests == []
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="permissions are ignored when running as root")
-    def test_unwritable_destination_fatal(self, tmp_path):
+    def test_unwritable_destination_fatal(self, tmp_path, http_server):
         target = tmp_path / "ro"
         target.mkdir()
         target.chmod(stat.S_IRUSR | stat.S_IXUSR)
-        url = "http://files.test/20231220100000.bin"
-        session = FakeSession({url: [FakeResponse(200, b"x")]})
+        http_server.script["/20231220100000.gz"] = [(200, b"x")]
         with pytest.raises(OSError):
-            fetch_window(
-                self.ts(0),
-                self.ts(0),
-                template="http://files.test/{timestamp}.bin",
-                dest=target,
-                session=session,
-                backoff_base=0,
-            )
+            self.fetch(http_server, self.ts(0), self.ts(0), target)
