@@ -1,4 +1,9 @@
-"""Parse GDELT Web News NGrams records from NDJSON streams and group them by URL."""
+"""Parse GDELT Web News NGrams records from NDJSON streams and group them by URL.
+
+Most lines of a real feed are discarded (other languages, other hosts,
+type-2 scripts), so the parser checks every line, classifies it, and builds
+a record only for a line it keeps. Dates are parsed once per distinct value.
+"""
 
 from __future__ import annotations
 
@@ -70,8 +75,8 @@ class NgramRecord:
 class ParseDiagnostics:
     """Per-stream accounting: every line read lands in exactly one bucket
     (ok, malformed, type-2 skipped, or filtered). ``pos_clamped`` counts
-    parsed records whose pos was pulled back into [0, 100]; clamping does not
-    change which bucket a line lands in.
+    well-formed lines whose pos was pulled back into [0, 100], whichever of
+    the other three buckets they land in; clamping does not change the bucket.
     """
 
     lines_read: int = 0
@@ -106,6 +111,8 @@ def _parse_date(value) -> datetime | None:
 
 
 def _coerce_int(value) -> int | None:
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
@@ -118,45 +125,6 @@ def _coerce_int(value) -> int | None:
         except ValueError:
             return None
     return None
-
-
-def _record_from_obj(obj: dict, fm: FieldMap, diags: ParseDiagnostics) -> NgramRecord | None:
-    """Build a record from one JSON object; None means the line is malformed."""
-    ngram = obj.get(fm.ngram)
-    url = obj.get(fm.url)
-    if not isinstance(ngram, str) or not ngram.strip():
-        return None
-    if not isinstance(url, str) or not url.strip():
-        return None
-
-    lang_type = _coerce_int(obj.get(fm.lang_type))
-    if lang_type not in (1, 2):
-        return None
-
-    pos = _coerce_int(obj.get(fm.pos))
-    if pos is None:
-        return None
-
-    pre = obj.get(fm.pre, "")
-    post = obj.get(fm.post, "")
-    lang = obj.get(fm.lang, "")
-    if not isinstance(pre, str) or not isinstance(post, str) or not isinstance(lang, str):
-        return None
-
-    if pos < 0 or pos > 100:
-        pos = min(max(pos, 0), 100)
-        diags.pos_clamped += 1
-
-    return NgramRecord(
-        ngram=ngram,
-        url=url,
-        lang=lang,
-        lang_type=lang_type,
-        pos=pos,
-        pre=pre,
-        post=post,
-        date=_parse_date(obj.get(fm.date)),
-    )
 
 
 def _binary_lines(stream: BinaryIO) -> Iterable[bytes]:
@@ -173,12 +141,17 @@ def _binary_lines(stream: BinaryIO) -> Iterable[bytes]:
 
     if head == GZIP_MAGIC:
         try:
-            with gzip.GzipFile(fileobj=stream) as gz:
-                yield from gz
+            # GzipFile's own line iterator is Python code; a BufferedReader
+            # over it splits the decompressed bytes into lines in C.
+            with gzip.GzipFile(fileobj=stream) as gz, io.BufferedReader(gz) as lines:
+                yield from lines
         except (OSError, EOFError, zlib.error) as exc:
             raise ParseError(f"unreadable gzip stream: {exc}") from exc
     else:
         yield from stream
+
+
+_decode_json = json.JSONDecoder().decode
 
 
 def parse_records(
@@ -190,10 +163,18 @@ def parse_records(
 ) -> tuple[list[NgramRecord], ParseDiagnostics]:
     """Parse newline-delimited JSON (optionally gzipped) into records.
 
-    Each well-formed line with language type 1 that passes the filters yields
-    one record, in line order. Malformed lines (bad UTF-8, bad JSON, missing
-    or invalid required fields) are skipped and counted, never fatal; only an
-    unreadable stream raises ParseError. Blank lines are ignored entirely.
+    Each line goes through three steps. First every validity check runs on
+    it: ngram and url are non-blank strings, type is 1 or 2, pos is an int,
+    and pre, post and lang are strings; a failing line is malformed. Then a
+    pos outside [0, 100] is clamped and counted. Last the line is classified
+    as type-2 skipped, filtered, or kept, and only a kept line is built into
+    a record, in line order. Dates are parsed once per distinct date string
+    and shared by the records that carry it.
+
+    Malformed lines (bad UTF-8, bad JSON, JSON nested too deep, an integer
+    literal too long to convert, missing or invalid required fields) are
+    skipped and counted, never fatal; only an unreadable stream raises
+    ParseError. Blank lines are ignored entirely.
 
     ``langs`` is an allow-list of exact language codes; ``url_include`` and
     ``url_exclude`` are substring patterns (any include must match, no
@@ -203,42 +184,92 @@ def parse_records(
     lang_set = set(langs) if langs is not None else None
     includes = list(url_include) if url_include else []
     excludes = list(url_exclude) if url_exclude else []
+    # The loop runs once per input line, so the keys are bound to locals.
+    k_ngram, k_url, k_type, k_pos = fm.ngram, fm.url, fm.lang_type, fm.pos
+    k_pre, k_post, k_lang, k_date = fm.pre, fm.post, fm.lang, fm.date
 
     records: list[NgramRecord] = []
-    diags = ParseDiagnostics()
+    dates: dict[str, datetime | None] = {}
+    lines_read = malformed = type2_skipped = filtered = pos_clamped = 0
 
     for raw in _binary_lines(stream):
         stripped = raw.strip()
         if not stripped:
             continue
-        diags.lines_read += 1
+        lines_read += 1
         try:
-            obj = json.loads(stripped.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            diags.lines_malformed += 1
+            obj = _decode_json(stripped.decode("utf-8"))
+        except (ValueError, RecursionError):
+            # ValueError covers bad UTF-8, bad JSON and an integer literal
+            # past the interpreter's digit limit; RecursionError is JSON
+            # nested deeper than the decoder's recursion limit.
+            malformed += 1
             continue
         if not isinstance(obj, dict):
-            diags.lines_malformed += 1
+            malformed += 1
             continue
-        record = _record_from_obj(obj, fm, diags)
-        if record is None:
-            diags.lines_malformed += 1
-            continue
-        if record.lang_type == 2:
-            diags.records_type2_skipped += 1
-            continue
-        if lang_set is not None and record.lang not in lang_set:
-            diags.records_filtered += 1
-            continue
-        if includes and not any(pat in record.url for pat in includes):
-            diags.records_filtered += 1
-            continue
-        if excludes and any(pat in record.url for pat in excludes):
-            diags.records_filtered += 1
-            continue
-        diags.records_ok += 1
-        records.append(record)
 
+        ngram = obj.get(k_ngram)
+        url = obj.get(k_url)
+        if not isinstance(ngram, str) or not ngram.strip():
+            malformed += 1
+            continue
+        if not isinstance(url, str) or not url.strip():
+            malformed += 1
+            continue
+        lang_type = _coerce_int(obj.get(k_type))
+        if lang_type not in (1, 2):
+            malformed += 1
+            continue
+        pos = _coerce_int(obj.get(k_pos))
+        if pos is None:
+            malformed += 1
+            continue
+        pre = obj.get(k_pre, "")
+        post = obj.get(k_post, "")
+        lang = obj.get(k_lang, "")
+        if not isinstance(pre, str) or not isinstance(post, str) or not isinstance(lang, str):
+            malformed += 1
+            continue
+        if pos < 0 or pos > 100:
+            pos = min(max(pos, 0), 100)
+            pos_clamped += 1
+
+        if lang_type == 2:
+            type2_skipped += 1
+            continue
+        if lang_set is not None and lang not in lang_set:
+            filtered += 1
+            continue
+        if includes and not any(pat in url for pat in includes):
+            filtered += 1
+            continue
+        if excludes and any(pat in url for pat in excludes):
+            filtered += 1
+            continue
+
+        date_text = obj.get(k_date)
+        if not isinstance(date_text, str):
+            date = None
+        elif date_text in dates:
+            date = dates[date_text]
+        else:
+            date = dates[date_text] = _parse_date(date_text)
+        records.append(
+            NgramRecord(
+                ngram=ngram, url=url, lang=lang, lang_type=lang_type,
+                pos=pos, pre=pre, post=post, date=date,
+            )
+        )
+
+    diags = ParseDiagnostics(
+        lines_read=lines_read,
+        records_ok=len(records),
+        lines_malformed=malformed,
+        records_type2_skipped=type2_skipped,
+        records_filtered=filtered,
+        pos_clamped=pos_clamped,
+    )
     return records, diags
 
 

@@ -7,6 +7,10 @@ with the implementations under test.
 
 from __future__ import annotations
 
+import gzip
+import json
+from datetime import datetime, timezone
+
 
 def levenshtein_dp(a: str, b: str) -> int:
     """Full-matrix quadratic DP edit distance."""
@@ -141,3 +145,128 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
         used += 1
         unanchored += 1
     return words, used, unanchored, merges
+
+
+def parse_reference(
+    data: bytes,
+    keys: dict,
+    langs=None,
+    url_include=(),
+    url_exclude=(),
+):
+    """Line-by-line restatement of the record parsing rules.
+
+    ``data`` is the whole stream (gunzipped here when it starts with the gzip
+    magic); ``keys`` maps each record field name to its JSON key. Returns
+    (records, counts): each record is a dict of its field values, and counts
+    holds the same buckets as ``ParseDiagnostics``. Every check runs in the
+    documented order and builds the full record before classifying it.
+    """
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+
+    def as_int(value):
+        if isinstance(value, bool):
+            return None
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float):
+            return int(value) if value.is_integer() else None
+        if isinstance(value, str):
+            try:
+                return int(value.strip())
+            except ValueError:
+                return None
+        return None
+
+    def as_date(value):
+        if not isinstance(value, str):
+            return None
+        text = value.strip()
+        if text.endswith("Z"):
+            text = text[:-1] + "+00:00"
+        try:
+            parsed = datetime.fromisoformat(text)
+        except ValueError:
+            try:
+                parsed = datetime.strptime(value.strip(), "%Y%m%d%H%M%S")
+            except ValueError:
+                return None
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed
+
+    counts = dict.fromkeys(
+        [
+            "lines_read",
+            "records_ok",
+            "lines_malformed",
+            "records_type2_skipped",
+            "records_filtered",
+            "pos_clamped",
+        ],
+        0,
+    )
+    records = []
+    for line in data.split(b"\n"):
+        line = line.strip()
+        if not line:
+            continue
+        counts["lines_read"] += 1
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            counts["lines_malformed"] += 1
+            continue
+        if not isinstance(obj, dict):
+            counts["lines_malformed"] += 1
+            continue
+        ngram = obj.get(keys["ngram"])
+        url = obj.get(keys["url"])
+        lang_type = as_int(obj.get(keys["lang_type"]))
+        pos = as_int(obj.get(keys["pos"]))
+        pre = obj.get(keys["pre"], "")
+        post = obj.get(keys["post"], "")
+        lang = obj.get(keys["lang"], "")
+        valid = (
+            isinstance(ngram, str)
+            and ngram.strip() != ""
+            and isinstance(url, str)
+            and url.strip() != ""
+            and lang_type in (1, 2)
+            and pos is not None
+            and isinstance(pre, str)
+            and isinstance(post, str)
+            and isinstance(lang, str)
+        )
+        if not valid:
+            counts["lines_malformed"] += 1
+            continue
+        if pos < 0:
+            pos = 0
+            counts["pos_clamped"] += 1
+        elif pos > 100:
+            pos = 100
+            counts["pos_clamped"] += 1
+        record = {
+            "ngram": ngram,
+            "url": url,
+            "lang": lang,
+            "lang_type": lang_type,
+            "pos": pos,
+            "pre": pre,
+            "post": post,
+            "date": as_date(obj.get(keys["date"])),
+        }
+        if lang_type == 2:
+            counts["records_type2_skipped"] += 1
+        elif langs is not None and lang not in langs:
+            counts["records_filtered"] += 1
+        elif url_include and not any(pat in url for pat in url_include):
+            counts["records_filtered"] += 1
+        elif any(pat in url for pat in url_exclude):
+            counts["records_filtered"] += 1
+        else:
+            counts["records_ok"] += 1
+            records.append(record)
+    return records, counts

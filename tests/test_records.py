@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 import json
@@ -5,6 +6,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ngramstitch.records import (
     FieldMap,
@@ -15,6 +18,8 @@ from ngramstitch.records import (
     parse_records,
     record_to_json_dict,
 )
+
+from oracles import parse_reference
 
 GOOD_LINE = (
     '{"date":"2023-12-20T10:15:00Z","ngram":"economy","lang":"en","type":1,'
@@ -105,6 +110,33 @@ def test_corrupt_gzip_is_fatal():
     payload = b"\x1f\x8b" + b"garbage garbage garbage"
     with pytest.raises(ParseError):
         parse_bytes(payload)
+
+
+def test_truncated_gzip_is_fatal():
+    lines = [make_line(ngram=f"w{i}", pos=i % 101) for i in range(5000)]
+    payload = gzip.compress("\n".join(lines).encode())
+    with pytest.raises(ParseError):
+        parse_bytes(payload[: len(payload) // 2])
+
+
+def test_multi_member_gzip_yields_every_member():
+    first = "\n".join(make_line(ngram=f"a{i}") for i in range(3)) + "\n"
+    second = "\n".join(make_line(ngram=f"b{i}") for i in range(2))
+    records, diags = parse_bytes(gzip.compress(first.encode()) + gzip.compress(second.encode()))
+    assert [r.ngram for r in records] == ["a0", "a1", "a2", "b0", "b1"]
+    assert diags.lines_read == diags.records_ok == 5
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [b"[" * 200_000, b"1" * 5000],
+    ids=["nested-too-deep", "int-too-many-digits"],
+)
+def test_overlong_json_line_is_malformed(bad_line):
+    records, diags = parse_bytes(bad_line + b"\n" + GOOD_LINE.encode())
+    assert len(records) == 1
+    assert diags.records_ok == 1
+    assert diags.lines_malformed == 1
 
 
 def test_arbitrary_bytes_never_crash():
@@ -229,3 +261,114 @@ def test_diagnostics_addition():
     b = ParseDiagnostics(lines_read=3, records_ok=3)
     total = a + b
     assert total.lines_read == 5 and total.records_ok == 4 and total.lines_malformed == 1
+
+
+# --- differential property tests against tests/oracles.py::parse_reference ---
+
+FIELD_MAPS = [
+    FieldMap(),
+    FieldMap.from_dict({"ngram": "gram", "lang_type": "langtype", "date": "ts"}),
+    FieldMap.from_dict({"pre": "ctx", "post": "ctx"}),
+]
+# Values each check accepts; an out-of-range pos is accepted and clamped.
+VALID_VALUES = {
+    "ngram": st.sampled_from(["word", "café"]),
+    "url": st.sampled_from(
+        [
+            "https://news.example.com/a",
+            "https://news.example.com/sports/b",
+            "https://other.example.com/c",
+        ]
+    ),
+    "lang_type": st.sampled_from([1, 2, "1", " 2 ", 1.0]),
+    "pos": st.one_of(
+        st.integers(0, 100),
+        st.sampled_from([-5, -300, 101, 250, 130.0, 1e300, "40", " -3 "]),
+    ),
+    "lang": st.sampled_from(["en", "fr", "it", ""]),
+    "pre": st.sampled_from(["reports show the", ""]),
+    "post": st.sampled_from(["grew rapidly", ""]),
+    "date": st.sampled_from(
+        [
+            "2023-12-20T10:15:00Z",
+            "2023-12-20T10:15:00+02:00",
+            "20231220101500",
+            " 2023-12-20 ",
+            "not a date",
+            None,
+            ["2023-12-20"],
+            5,
+        ]
+    ),
+}
+# Values some check rejects.
+BAD_VALUES = {
+    "ngram": st.sampled_from(["", "  ", 3, None]),
+    "url": st.sampled_from(["", " ", 5, None]),
+    "lang_type": st.sampled_from([3, 1.5, True, None, "x"]),
+    "pos": st.sampled_from([12.5, "x", True, False, None]),
+    "lang": st.sampled_from([7, None]),
+    "pre": st.sampled_from([17, None, ["a"]]),
+    "post": st.sampled_from([2.5, None]),
+}
+OTHER_LINES = [
+    b"",
+    b"   ",
+    b"{not json",
+    b"[1, 2, 3]",
+    b'"just a string"',
+    b"42",
+    b"null",
+    b"\xff\xfe{}",
+    b'{"ngram": "caf\xe9"}',
+]
+
+
+@st.composite
+def record_line(draw, field_map: FieldMap) -> bytes:
+    """A valid line with up to two fields removed or given a rejected value."""
+    obj = {getattr(field_map, name): draw(values) for name, values in VALID_VALUES.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(VALID_VALUES)), max_size=2)):
+        if name == "date" or draw(st.booleans()):
+            obj.pop(getattr(field_map, name), None)
+        else:
+            obj[getattr(field_map, name)] = draw(BAD_VALUES[name])
+    return json.dumps(obj, ensure_ascii=draw(st.booleans())).encode()
+
+
+@st.composite
+def parse_inputs(draw):
+    field_map = draw(st.sampled_from(FIELD_MAPS))
+    lines = draw(
+        st.lists(st.one_of(record_line(field_map), st.sampled_from(OTHER_LINES)), max_size=25)
+    )
+    kwargs = {
+        "langs": draw(st.sampled_from([None, set(), {"en"}, {"en", "fr"}])),
+        "url_include": draw(st.sampled_from([[], ["news.example.com"], ["/a", "/c"]])),
+        "url_exclude": draw(st.sampled_from([[], ["/sports/"]])),
+    }
+    return b"\n".join(lines), field_map, kwargs
+
+
+def assert_matches_reference(data: bytes, field_map: FieldMap, **kwargs):
+    records, diags = parse_bytes(data, field_map=field_map, **kwargs)
+    ref_records, ref_counts = parse_reference(data, dataclasses.asdict(field_map), **kwargs)
+    assert [dataclasses.asdict(r) for r in records] == ref_records
+    assert dataclasses.asdict(diags) == ref_counts
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(parse_inputs(), st.booleans())
+    def test_property_equals_reference(self, inputs, gzipped):
+        data, field_map, kwargs = inputs
+        if gzipped:
+            data = gzip.compress(data)
+        assert_matches_reference(data, field_map, **kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.binary(max_size=40), max_size=8))
+    def test_property_arbitrary_line_bytes_never_raise(self, lines):
+        data = b"\n".join(lines)
+        assume(data[:2] != b"\x1f\x8b")  # a corrupt gzip header is fatal by design
+        assert_matches_reference(data, FieldMap())
