@@ -9,6 +9,7 @@ import os
 import time
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from http.client import HTTPException
@@ -150,13 +151,39 @@ def reconstruct_group(
     )
 
 
-def _group_task(args):
-    """Worker-pool entry: never raises, so one bad group cannot kill a batch."""
-    url, records, config = args
+def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: AssemblyConfig):
+    """Never raises, so one bad group cannot kill a batch."""
     try:
         return url, reconstruct_group(url, records, config), None
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return url, None, f"{type(exc).__name__}: {exc}"
+
+
+def _group_task(args):
+    """Worker-pool entry. Records arrive as plain tuples, which pickle without
+    a per-record reduce, and are rebuilt here."""
+    url, rows, config = args
+    return _reconstruct_isolated(url, list(map(NgramRecord._make, rows)), config)
+
+
+def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig) -> list:
+    """Reconstruct the groups in a worker pool. A worker that dies takes the
+    pool down with it; every group whose result did not arrive is reported
+    as a group error, and the results that did arrive are kept."""
+    tasks = [
+        (url, [tuple(r) for r in group], config.assembly) for url, group in groups.items()
+    ]
+    chunksize = max(1, len(tasks) // (config.workers * 4))
+    results = []
+    try:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            for result in pool.map(_group_task, tasks, chunksize=chunksize):
+                results.append(result)
+    except BrokenProcessPool as exc:
+        done = {url for url, _, _ in results}
+        error = f"worker died: {exc}"
+        results.extend((url, None, error) for url in groups if url not in done)
+    return results
 
 
 def expand_inputs(inputs: Iterable[str | Path]) -> list[Path]:
@@ -178,9 +205,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     """Parse all inputs, reconstruct every URL group, write the corpus.
 
     Output is NDJSON, one article per line, sorted by URL so the file bytes
-    are identical for any worker count. Raises EmptyInputError when nothing
-    survives filtering and OSError for unreadable inputs or an unwritable
-    output path.
+    are identical for any worker count. It is written to ``<output>.part``
+    and renamed into place, so a failed write leaves any previous corpus
+    intact. A group that raises, or whose result had not arrived when a
+    worker process died, is counted in ``groups_skipped`` and listed in
+    ``group_errors``. Raises EmptyInputError when nothing survives filtering
+    and OSError for unreadable inputs or an unwritable output path.
     """
     started = time.perf_counter()
     records: list[NgramRecord] = []
@@ -200,13 +230,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
         raise EmptyInputError("no records left after parsing and filtering")
 
     groups = group_by_url(records)
-    tasks = [(url, group, config.assembly) for url, group in groups.items()]
-    if config.workers > 1 and len(tasks) > 1:
-        chunksize = max(1, len(tasks) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_group_task, tasks, chunksize=chunksize))
+    if config.workers > 1 and len(groups) > 1:
+        results = _reconstruct_in_pool(groups, config)
     else:
-        results = [_group_task(task) for task in tasks]
+        results = [
+            _reconstruct_isolated(url, group, config.assembly) for url, group in groups.items()
+        ]
 
     summary = RunSummary(groups=len(groups), diagnostics=diagnostics)
     articles: list[ReconstructedArticle] = []
@@ -225,10 +254,16 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     output = Path(config.output)
     if output.parent and not output.parent.exists():
         output.parent.mkdir(parents=True, exist_ok=True)
-    with open(output, "w", encoding="utf-8") as fh:
-        for article in articles:
-            fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
-            fh.write("\n")
+    partial = output.with_name(output.name + ".part")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            for article in articles:
+                fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
+                fh.write("\n")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, output)
 
     summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started

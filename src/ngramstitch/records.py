@@ -2,7 +2,9 @@
 
 Most lines of a real feed are discarded (other languages, other hosts,
 type-2 scripts), so the parser checks every line, classifies it, and builds
-a record only for a line it keeps. Dates are parsed once per distinct value.
+a record only for a line it keeps. Dates are parsed once per distinct value,
+and the records of one call share one string object per distinct url and
+lang.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -52,13 +54,13 @@ class FieldMap:
         return cls(**overrides)
 
 
-@dataclass(frozen=True)
-class NgramRecord:
+class NgramRecord(NamedTuple):
     """One dataset entry: a unigram with its context snippets and metadata.
 
     ``pos`` is the decile-style position of the unigram within its article
     (0-100); ``pre``/``post`` hold up to ~7 words of surrounding context.
-    Immutable, so records can be shared freely across workers.
+    A named tuple: immutable, cheap to build and to pickle, and equal to a
+    plain tuple of the same values in field order.
     """
 
     ngram: str
@@ -169,7 +171,8 @@ def parse_records(
     pos outside [0, 100] is clamped and counted. Last the line is classified
     as type-2 skipped, filtered, or kept, and only a kept line is built into
     a record, in line order. Dates are parsed once per distinct date string
-    and shared by the records that carry it.
+    and shared by the records that carry it; so is one string object per
+    distinct url and lang.
 
     Malformed lines (bad UTF-8, bad JSON, JSON nested too deep, an integer
     literal too long to convert, missing or invalid required fields) are
@@ -190,6 +193,8 @@ def parse_records(
 
     records: list[NgramRecord] = []
     dates: dict[str, datetime | None] = {}
+    urls: dict[str, str] = {}
+    lang_names: dict[str, str] = {}
     lines_read = malformed = type2_skipped = filtered = pos_clamped = 0
 
     for raw in _binary_lines(stream):
@@ -255,12 +260,9 @@ def parse_records(
             date = dates[date_text]
         else:
             date = dates[date_text] = _parse_date(date_text)
-        records.append(
-            NgramRecord(
-                ngram=ngram, url=url, lang=lang, lang_type=lang_type,
-                pos=pos, pre=pre, post=post, date=date,
-            )
-        )
+        url = urls.setdefault(url, url)
+        lang = lang_names.setdefault(lang, lang)
+        records.append(NgramRecord(ngram, url, lang, lang_type, pos, pre, post, date))
 
     diags = ParseDiagnostics(
         lines_read=lines_read,

@@ -2,16 +2,19 @@ import gzip
 import inspect
 import json
 import os
+import pickle
 import stat
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
+from ngramstitch import pipeline
 from ngramstitch.assembly import AssemblyConfig
 from ngramstitch.pipeline import (
     DEFAULT_FETCH_TEMPLATE,
     EmptyInputError,
+    ReconstructedArticle,
     RunConfig,
     expand_inputs,
     fetch_window,
@@ -20,7 +23,7 @@ from ngramstitch.pipeline import (
     reconstruct_group,
     validate_command,
 )
-from ngramstitch.records import NgramRecord, record_to_json_dict
+from ngramstitch.records import NgramRecord, parse_file, record_to_json_dict
 from ngramstitch.shredder import ShredConfig, shred
 from conftest import make_article
 
@@ -165,6 +168,72 @@ class TestReconstructCommand:
 
         url = "https://n.test/000"
         assert read_corpus(out_both)[url] == read_corpus(out_solo)[url]
+
+
+    def test_pool_task_rows_round_trip(self, tmp_path, rng, vocab, vocab_weights):
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)]
+        records_path, _ = shred_corpus(tmp_path, texts, drop_rate=0.2)
+        records, _ = parse_file(records_path)
+        url = records[0].url
+        group = [r for r in records if r.url == url]
+        task = (url, [tuple(r) for r in group], AssemblyConfig())
+        shipped = pickle.loads(pickle.dumps(task, pickle.DEFAULT_PROTOCOL))
+        assert all(type(row) is tuple for row in shipped[1])
+        rebuilt = [NgramRecord._make(row) for row in shipped[1]]
+        assert all(type(r) is NgramRecord for r in rebuilt)
+        assert rebuilt == group
+        assert [r.date for r in rebuilt] == [r.date for r in group]
+        assert pipeline._group_task(shipped) == (
+            url, reconstruct_group(url, group, AssemblyConfig()), None
+        )
+
+    def test_killed_worker_is_a_group_error(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(6)]
+        records_path, reference = shred_corpus(tmp_path, texts, drop_rate=0.3)
+        serial_out = tmp_path / "serial.ndjson"
+        reconstruct_command(RunConfig(inputs=[records_path], output=serial_out))
+        serial = read_corpus(serial_out)
+        doomed = sorted(reference)[2]
+        real_reconstruct_group = pipeline.reconstruct_group
+
+        def dies_on_one_url(url, records, config):
+            if url == doomed:
+                os._exit(1)
+            return real_reconstruct_group(url, records, config)
+
+        monkeypatch.setattr(pipeline, "reconstruct_group", dies_on_one_url)
+        out = tmp_path / "o.ndjson"
+        summary = reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=2))
+        assert summary.groups == len(reference)
+        assert doomed in dict(summary.group_errors)
+        assert "worker died" in dict(summary.group_errors)[doomed]
+        assert summary.articles + summary.groups_skipped == summary.groups
+        assert summary.groups_skipped == len(summary.group_errors)
+        corpus = read_corpus(out)
+        assert doomed not in corpus and len(corpus) == summary.articles
+        assert all(serial[url] == text for url, text in corpus.items())
+
+    def test_failed_write_keeps_previous_corpus(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(3)]
+        records_path, _ = shred_corpus(tmp_path, texts)
+        out = tmp_path / "out" / "corpus.ndjson"
+        out.parent.mkdir()
+        out.write_bytes(b'{"url": "old", "text": "previous run"}\n')
+        real_to_json_dict = ReconstructedArticle.to_json_dict
+        calls = []
+
+        def fails_on_second_article(article):
+            calls.append(article.url)
+            if len(calls) == 2:
+                raise RuntimeError("disk went away")
+            return real_to_json_dict(article)
+
+        monkeypatch.setattr(ReconstructedArticle, "to_json_dict", fails_on_second_article)
+        with pytest.raises(RuntimeError):
+            reconstruct_command(RunConfig(inputs=[records_path], output=out))
+        assert len(calls) == 2
+        assert out.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
+        assert [p.name for p in out.parent.iterdir()] == ["corpus.ndjson"]
 
 
 class TestRunConfig:

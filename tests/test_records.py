@@ -230,6 +230,26 @@ def test_round_trip_serialization():
         assert reparsed[0] == rec
 
 
+def test_equal_urls_and_langs_share_one_object():
+    lines = [
+        make_line(ngram="a", url="https://x.com/a", lang="en"),
+        make_line(ngram="b", url="https://x.com/b", lang="fr"),
+        make_line(ngram="c", url="https://x.com/a", lang="en"),
+        make_line(ngram="d", url="https://x.com/b", lang="en"),
+    ]
+    a1, b1, a2, b2 = parse_bytes("\n".join(lines).encode())[0]
+    assert a1.url is a2.url and b1.url is b2.url and a1.url != b1.url
+    assert a1.lang is a2.lang is b2.lang and b1.lang == "fr"
+
+
+def test_record_is_an_immutable_named_tuple():
+    rec = NgramRecord(ngram="w", url="u")
+    with pytest.raises(AttributeError):
+        rec.url = "v"
+    assert rec == ("w", "u", "", 1, 0, "", "", None)
+    assert rec._replace(pos=40) == NgramRecord("w", "u", pos=40)
+
+
 def test_group_by_url_partition_and_order():
     rng = random.Random(3)
     urls = [f"https://x.com/{i}" for i in range(4)]
@@ -353,7 +373,7 @@ def parse_inputs(draw):
 def assert_matches_reference(data: bytes, field_map: FieldMap, **kwargs):
     records, diags = parse_bytes(data, field_map=field_map, **kwargs)
     ref_records, ref_counts = parse_reference(data, dataclasses.asdict(field_map), **kwargs)
-    assert [dataclasses.asdict(r) for r in records] == ref_records
+    assert [r._asdict() for r in records] == ref_records
     assert dataclasses.asdict(diags) == ref_counts
 
 
