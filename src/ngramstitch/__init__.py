@@ -20,7 +20,6 @@ from .pipeline import (
     validate_command,
 )
 from .records import (
-    FieldMap,
     NgramRecord,
     ParseDiagnostics,
     ParseError,

@@ -21,12 +21,19 @@ from .pipeline import (
     summary_lines,
     validate_command,
 )
-from .records import FieldMap, ParseError, _parse_date, record_to_json_dict
+from .records import ParseError, _parse_date, record_to_json_dict
 from .shredder import MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST, ShredConfig, shred
 from .similarity import format_report_table
 
 
+# The keys a `reconstruct` config file may hold, by the type of their value.
+_INT_KEYS = ("min_overlap", "pos_window", "min_dup_run", "workers")
+_STRINGS_KEYS = ("langs", "url_include", "url_exclude")
+
+
 def _load_config_file(path: str | None) -> dict:
+    """The config file's JSON object, after every key and value is checked
+    the way its flag would be."""
     if path is None:
         return {}
     try:
@@ -38,24 +45,26 @@ def _load_config_file(path: str | None) -> dict:
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
+    for key, value in config.items():
+        if key in _INT_KEYS:
+            ok = type(value) is int  # bool is a subclass of int, but true is no count
+            kind = "an integer"
+        elif key in _STRINGS_KEYS:
+            ok = isinstance(value, str) or (
+                isinstance(value, list) and all(isinstance(part, str) for part in value)
+            )
+            kind = "a string or a list of strings"
+        else:
+            raise click.UsageError(f"unknown config key {key!r} in {path}")
+        if not ok:
+            raise click.UsageError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
     return config
-
-
-def _pick(flag, file_config: dict, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    if flag is not None:
-        return flag
-    return file_config.get(key, default)
 
 
 def _url_patterns(flag: tuple[str, ...], file_config: dict, key: str) -> list[str]:
     """Repeated flag values if given, else the config file's pattern or list of patterns."""
     value = list(flag) or file_config.get(key, [])
-    if isinstance(value, str):
-        return [value]
-    if not isinstance(value, list) or not all(isinstance(part, str) for part in value):
-        raise click.UsageError(f"config key {key!r} must be a string or a list of strings")
-    return value
+    return [value] if isinstance(value, str) else value
 
 
 def _parse_thresholds(value: str) -> list[float]:
@@ -86,7 +95,7 @@ def main(verbose: int):
 @click.option("--min-overlap", type=int, help="Smallest word overlap accepted for a merge.")
 @click.option("--pos-window", type=int, help="Max position-decile distance for a merge.")
 @click.option("--min-dup-run", type=int, help="Shortest adjacent duplicate run to collapse.")
-@click.option("--workers", type=int, help="Parallel workers over URL groups (default 1).")
+@click.option("--workers", type=int, help=f"Parallel workers over URL groups (default {RunConfig.workers}).")
 def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
                 min_overlap, pos_window, min_dup_run, workers):
     """Reconstruct articles from record files (NDJSON, plain or .gz).
@@ -95,25 +104,26 @@ def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
     line, sorted by URL, and a run summary to stderr.
     """
     file_config = _load_config_file(config_path)
-    langs_value = _pick(langs, file_config, "langs", None)
+    langs_value = langs if langs is not None else file_config.get("langs")
     if isinstance(langs_value, str):
         langs_value = [part.strip() for part in langs_value.split(",") if part.strip()]
 
+    # Flags win over the config file. A count set by neither is left out, so
+    # the config class that takes it supplies the default.
+    counts = {key: file_config[key] for key in _INT_KEYS if key in file_config}
+    flags = dict(min_overlap=min_overlap, pos_window=pos_window, min_dup_run=min_dup_run, workers=workers)
+    counts.update((key, flag) for key, flag in flags.items() if flag is not None)
+    workers = counts.pop("workers", RunConfig.workers)
+
     try:
-        assembly = AssemblyConfig(
-            min_overlap=_pick(min_overlap, file_config, "min_overlap", 3),
-            pos_window=_pick(pos_window, file_config, "pos_window", 10),
-            min_dup_run=_pick(min_dup_run, file_config, "min_dup_run", 5),
-        )
         run_config = RunConfig(
             inputs=list(inputs),
             output=output,
-            assembly=assembly,
+            assembly=AssemblyConfig(**counts),
             langs=langs_value,
             url_include=_url_patterns(url_include, file_config, "url_include"),
             url_exclude=_url_patterns(url_exclude, file_config, "url_exclude"),
-            workers=_pick(workers, file_config, "workers", 1),
-            field_map=FieldMap.from_dict(file_config.get("field_map", {})),
+            workers=workers,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -20,9 +20,9 @@ from urllib.error import HTTPError
 from .assembly import AssemblyConfig, assemble, deduplicate
 from .fragments import build_fragment, strip_wraparound_artifact
 from .records import (
-    FieldMap,
     NgramRecord,
     ParseDiagnostics,
+    ParseError,
     group_by_url,
     parse_file,
 )
@@ -90,7 +90,6 @@ class RunConfig:
     url_include: list[str] = field(default_factory=list)
     url_exclude: list[str] = field(default_factory=list)
     workers: int = 1
-    field_map: FieldMap = field(default_factory=FieldMap)
 
     def __post_init__(self):
         if self.workers < 1:
@@ -105,6 +104,7 @@ class RunSummary:
     articles: int = 0
     groups_skipped: int = 0
     group_errors: list[tuple[str, str]] = field(default_factory=list)
+    file_errors: list[tuple[str, str]] = field(default_factory=list)
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
     wall_time_s: float = 0.0
     output: str = ""
@@ -209,23 +209,34 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     and renamed into place, so a failed write leaves any previous corpus
     intact. A group that raises, or whose result had not arrived when a
     worker process died, is counted in ``groups_skipped`` and listed in
-    ``group_errors``. Raises EmptyInputError when nothing survives filtering
-    and OSError for unreadable inputs or an unwritable output path.
+    ``group_errors``. An unreadable file (ParseError, say a truncated gzip)
+    is listed in ``file_errors`` and contributes no records, not even those
+    read before the break. Raises ParseError when every input file is
+    unreadable, EmptyInputError when nothing survives filtering, and OSError
+    for a missing input or an unwritable output path.
     """
     started = time.perf_counter()
     records: list[NgramRecord] = []
     diagnostics = ParseDiagnostics()
-    for path in expand_inputs(config.inputs):
-        file_records, file_diags = parse_file(
-            path,
-            field_map=config.field_map,
-            langs=config.langs,
-            url_include=config.url_include,
-            url_exclude=config.url_exclude,
-        )
+    file_errors: list[tuple[str, str]] = []
+    paths = expand_inputs(config.inputs)
+    for path in paths:
+        try:
+            file_records, file_diags = parse_file(
+                path,
+                langs=config.langs,
+                url_include=config.url_include,
+                url_exclude=config.url_exclude,
+            )
+        except ParseError as exc:
+            logger.warning("skipping file %s: %s", path, exc)
+            file_errors.append((str(path), str(exc)))
+            continue
         records.extend(file_records)
         diagnostics = diagnostics + file_diags
 
+    if file_errors and len(file_errors) == len(paths):
+        raise ParseError("; ".join(f"{path}: {error}" for path, error in file_errors))
     if not records:
         raise EmptyInputError("no records left after parsing and filtering")
 
@@ -237,7 +248,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             _reconstruct_isolated(url, group, config.assembly) for url, group in groups.items()
         ]
 
-    summary = RunSummary(groups=len(groups), diagnostics=diagnostics)
+    summary = RunSummary(groups=len(groups), diagnostics=diagnostics, file_errors=file_errors)
     articles: list[ReconstructedArticle] = []
     for url, article, error in results:
         if error is not None:
@@ -429,6 +440,8 @@ def summary_lines(summary: RunSummary) -> list[str]:
         ),
         f"wall time: {summary.wall_time_s:.2f}s",
     ]
+    for path, error in summary.file_errors:
+        lines.append(f"file error: {path}: {error}")
     for url, error in summary.group_errors:
         lines.append(f"group error: {url}: {error}")
     return lines

@@ -5,6 +5,9 @@ type-2 scripts), so the parser checks every line, classifies it, and builds
 a record only for a line it keeps. Dates are parsed once per distinct value,
 and the records of one call share one string object per distinct url and
 lang.
+
+The feed has one fixed schema; its JSON keys are spelled out only in
+:func:`parse_records` and its inverse :func:`record_to_json_dict`.
 """
 
 from __future__ import annotations
@@ -26,32 +29,6 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 class ParseError(Exception):
     """The input stream itself is unreadable (bad gzip container, broken file)."""
-
-
-@dataclass(frozen=True)
-class FieldMap:
-    """JSON key for each record field.
-
-    The defaults match the public webngrams files; a feed that names its
-    fields differently can be handled by remapping here (e.g. via the
-    "field_map" section of a config file) instead of editing code.
-    """
-
-    date: str = "date"
-    ngram: str = "ngram"
-    lang: str = "lang"
-    lang_type: str = "type"
-    pos: str = "pos"
-    pre: str = "pre"
-    post: str = "post"
-    url: str = "url"
-
-    @classmethod
-    def from_dict(cls, overrides: dict) -> "FieldMap":
-        unknown = set(overrides) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown field_map keys: {sorted(unknown)}")
-        return cls(**overrides)
 
 
 class NgramRecord(NamedTuple):
@@ -158,7 +135,6 @@ _decode_json = json.JSONDecoder().decode
 
 def parse_records(
     stream: BinaryIO,
-    field_map: FieldMap | None = None,
     langs: Iterable[str] | None = None,
     url_include: Iterable[str] | None = None,
     url_exclude: Iterable[str] | None = None,
@@ -183,13 +159,9 @@ def parse_records(
     ``url_exclude`` are substring patterns (any include must match, no
     exclude may match).
     """
-    fm = field_map or FieldMap()
     lang_set = set(langs) if langs is not None else None
     includes = list(url_include) if url_include else []
     excludes = list(url_exclude) if url_exclude else []
-    # The loop runs once per input line, so the keys are bound to locals.
-    k_ngram, k_url, k_type, k_pos = fm.ngram, fm.url, fm.lang_type, fm.pos
-    k_pre, k_post, k_lang, k_date = fm.pre, fm.post, fm.lang, fm.date
 
     records: list[NgramRecord] = []
     dates: dict[str, datetime | None] = {}
@@ -214,25 +186,25 @@ def parse_records(
             malformed += 1
             continue
 
-        ngram = obj.get(k_ngram)
-        url = obj.get(k_url)
+        ngram = obj.get("ngram")
+        url = obj.get("url")
         if not isinstance(ngram, str) or not ngram.strip():
             malformed += 1
             continue
         if not isinstance(url, str) or not url.strip():
             malformed += 1
             continue
-        lang_type = _coerce_int(obj.get(k_type))
+        lang_type = _coerce_int(obj.get("type"))
         if lang_type not in (1, 2):
             malformed += 1
             continue
-        pos = _coerce_int(obj.get(k_pos))
+        pos = _coerce_int(obj.get("pos"))
         if pos is None:
             malformed += 1
             continue
-        pre = obj.get(k_pre, "")
-        post = obj.get(k_post, "")
-        lang = obj.get(k_lang, "")
+        pre = obj.get("pre", "")
+        post = obj.get("post", "")
+        lang = obj.get("lang", "")
         if not isinstance(pre, str) or not isinstance(post, str) or not isinstance(lang, str):
             malformed += 1
             continue
@@ -253,7 +225,7 @@ def parse_records(
             filtered += 1
             continue
 
-        date_text = obj.get(k_date)
+        date_text = obj.get("date")
         if not isinstance(date_text, str):
             date = None
         elif date_text in dates:
@@ -289,16 +261,15 @@ def group_by_url(records: Iterable[NgramRecord]) -> dict[str, list[NgramRecord]]
     return groups
 
 
-def record_to_json_dict(record: NgramRecord, field_map: FieldMap | None = None) -> dict:
+def record_to_json_dict(record: NgramRecord) -> dict:
     """Serialize a record back to the wire shape; inverse of parsing."""
-    fm = field_map or FieldMap()
     return {
-        fm.date: record.date.isoformat() if record.date is not None else None,
-        fm.ngram: record.ngram,
-        fm.lang: record.lang,
-        fm.lang_type: record.lang_type,
-        fm.pos: record.pos,
-        fm.pre: record.pre,
-        fm.post: record.post,
-        fm.url: record.url,
+        "date": record.date.isoformat() if record.date is not None else None,
+        "ngram": record.ngram,
+        "lang": record.lang,
+        "type": record.lang_type,
+        "pos": record.pos,
+        "pre": record.pre,
+        "post": record.post,
+        "url": record.url,
     }

@@ -1,7 +1,9 @@
+import gzip
 import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -90,28 +92,82 @@ def test_config_file_with_flag_override(runner, tmp_path, rng, vocab, vocab_weig
     records = tmp_path / "records.ndjson"
     runner.invoke(main, ["shred", str(source), "-o", str(records), "--lang", "it"])
 
-    # remap a field name through the config file and filter by language
-    remapped = tmp_path / "remapped.ndjson"
-    with open(records) as src, open(remapped, "w") as dst:
-        for line in src:
-            obj = json.loads(line)
-            obj["unigram"] = obj.pop("ngram")
-            dst.write(json.dumps(obj) + "\n")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"field_map": {"ngram": "unigram"}, "langs": ["en"], "workers": 1}))
+    config.write_text(json.dumps({"langs": ["en"], "workers": 1}))
 
     out = tmp_path / "o.ndjson"
     result = runner.invoke(
-        main, ["reconstruct", str(remapped), "-o", str(out), "--config", str(config)]
+        main, ["reconstruct", str(records), "-o", str(out), "--config", str(config)]
     )
     assert result.exit_code == 3  # config language filter drops everything
 
     result = runner.invoke(
         main,
-        ["reconstruct", str(remapped), "-o", str(out), "--config", str(config), "--langs", "it"],
+        ["reconstruct", str(records), "-o", str(out), "--config", str(config), "--langs", "it"],
     )
     assert result.exit_code == 0, result.output  # flag overrides config file
     assert list(read_corpus(out).values()) == [text]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("field_map", {"ngram": "unigram"}),
+        ("min_overlp", 3),
+        ("min_overlap", "3"),
+        ("workers", "2"),
+        ("pos_window", None),
+        ("langs", 5),
+        ("langs", ["en", 3]),
+        ("workers", 2.5),
+        ("workers", True),
+        ("min_dup_run", 5.0),
+    ],
+)
+def test_config_bad_key_or_value_is_usage_error(runner, tmp_path, key, value):
+    records = tmp_path / "r.ndjson"
+    records.write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    result = runner.invoke(
+        main, ["reconstruct", str(records), "-o", str(tmp_path / "o.ndjson"), "--config", str(config)]
+    )
+    assert result.exit_code == 2, result.output
+    assert repr(key) in result.output
+
+
+@pytest.mark.parametrize("cut", [2, 10, 0.5, -9, -1])
+def test_cut_gzip_file_skips_only_itself(runner, tmp_path, rng, vocab, vocab_weights, cut):
+    texts = [make_article(rng, 80, vocab, vocab_weights), make_article(rng, 1500, vocab, vocab_weights)]
+    clean_source, cut_source = write_sources(tmp_path, texts)
+    clean = tmp_path / "clean.ndjson"
+    reference = tmp_path / "reference.ndjson"
+    result = runner.invoke(
+        main, ["shred", str(clean_source), "-o", str(clean), "--reference-out", str(reference)]
+    )
+    assert result.exit_code == 0, result.output
+    whole = tmp_path / "whole.ndjson"
+    result = runner.invoke(main, ["shred", str(cut_source), "-o", str(whole)])
+    assert result.exit_code == 0, result.output
+    packed = gzip.compress(whole.read_bytes())
+    offset = int(len(packed) * cut) if isinstance(cut, float) else cut % len(packed)
+    broken = tmp_path / "broken.ndjson.gz"
+    broken.write_bytes(packed[:offset])
+    if isinstance(cut, float):
+        # lines that decode before the break, which the broken file must not contribute
+        assert zlib.decompressobj(31).decompress(packed[:offset]).count(b"\n") > 0
+
+    out = tmp_path / "o.ndjson"
+    result = runner.invoke(main, ["reconstruct", str(clean), str(broken), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read_corpus(out) == read_corpus(reference)
+    assert f"file error: {broken}: unreadable gzip stream" in result.output
+    clean_lines = len(clean.read_text().splitlines())
+    assert f"records: ok={clean_lines} " in result.output
+
+    result = runner.invoke(main, ["reconstruct", str(broken), "-o", str(out)])
+    assert result.exit_code == 4  # no input file is readable
+    assert "unreadable input" in result.output
 
 
 def shred_two_hosts(runner, tmp_path, rng, vocab, vocab_weights):

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ngramstitch.records import (
-    FieldMap,
     NgramRecord,
     ParseDiagnostics,
     ParseError,
@@ -205,20 +204,6 @@ def test_blank_lines_ignored():
     assert diags.lines_read == 1
 
 
-def test_field_map_remap():
-    fm = FieldMap.from_dict({"ngram": "gram", "lang_type": "langtype"})
-    obj = json.loads(make_line())
-    obj["gram"] = obj.pop("ngram")
-    obj["langtype"] = obj.pop("type")
-    records, _ = parse_bytes(json.dumps(obj).encode(), field_map=fm)
-    assert len(records) == 1 and records[0].ngram == "word"
-
-
-def test_field_map_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        FieldMap.from_dict({"nope": "x"})
-
-
 def test_round_trip_serialization():
     lines = [GOOD_LINE, make_line(date=None), make_line(ngram="café", pre="")]
     records, _ = parse_bytes("\n".join(lines).encode())
@@ -285,11 +270,17 @@ def test_diagnostics_addition():
 
 # --- differential property tests against tests/oracles.py::parse_reference ---
 
-FIELD_MAPS = [
-    FieldMap(),
-    FieldMap.from_dict({"ngram": "gram", "lang_type": "langtype", "date": "ts"}),
-    FieldMap.from_dict({"pre": "ctx", "post": "ctx"}),
-]
+# The JSON key of each record field on the wire.
+WIRE_KEYS = {
+    "date": "date",
+    "ngram": "ngram",
+    "lang": "lang",
+    "lang_type": "type",
+    "pos": "pos",
+    "pre": "pre",
+    "post": "post",
+    "url": "url",
+}
 # Values each check accepts; an out-of-range pos is accepted and clamped.
 VALID_VALUES = {
     "ngram": st.sampled_from(["word", "café"]),
@@ -345,34 +336,31 @@ OTHER_LINES = [
 
 
 @st.composite
-def record_line(draw, field_map: FieldMap) -> bytes:
+def record_line(draw) -> bytes:
     """A valid line with up to two fields removed or given a rejected value."""
-    obj = {getattr(field_map, name): draw(values) for name, values in VALID_VALUES.items()}
+    obj = {WIRE_KEYS[name]: draw(values) for name, values in VALID_VALUES.items()}
     for name in draw(st.sets(st.sampled_from(sorted(VALID_VALUES)), max_size=2)):
         if name == "date" or draw(st.booleans()):
-            obj.pop(getattr(field_map, name), None)
+            obj.pop(WIRE_KEYS[name], None)
         else:
-            obj[getattr(field_map, name)] = draw(BAD_VALUES[name])
+            obj[WIRE_KEYS[name]] = draw(BAD_VALUES[name])
     return json.dumps(obj, ensure_ascii=draw(st.booleans())).encode()
 
 
 @st.composite
 def parse_inputs(draw):
-    field_map = draw(st.sampled_from(FIELD_MAPS))
-    lines = draw(
-        st.lists(st.one_of(record_line(field_map), st.sampled_from(OTHER_LINES)), max_size=25)
-    )
+    lines = draw(st.lists(st.one_of(record_line(), st.sampled_from(OTHER_LINES)), max_size=25))
     kwargs = {
         "langs": draw(st.sampled_from([None, set(), {"en"}, {"en", "fr"}])),
         "url_include": draw(st.sampled_from([[], ["news.example.com"], ["/a", "/c"]])),
         "url_exclude": draw(st.sampled_from([[], ["/sports/"]])),
     }
-    return b"\n".join(lines), field_map, kwargs
+    return b"\n".join(lines), kwargs
 
 
-def assert_matches_reference(data: bytes, field_map: FieldMap, **kwargs):
-    records, diags = parse_bytes(data, field_map=field_map, **kwargs)
-    ref_records, ref_counts = parse_reference(data, dataclasses.asdict(field_map), **kwargs)
+def assert_matches_reference(data: bytes, **kwargs):
+    records, diags = parse_bytes(data, **kwargs)
+    ref_records, ref_counts = parse_reference(data, WIRE_KEYS, **kwargs)
     assert [r._asdict() for r in records] == ref_records
     assert dataclasses.asdict(diags) == ref_counts
 
@@ -381,14 +369,14 @@ class TestParseMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(parse_inputs(), st.booleans())
     def test_property_equals_reference(self, inputs, gzipped):
-        data, field_map, kwargs = inputs
+        data, kwargs = inputs
         if gzipped:
             data = gzip.compress(data)
-        assert_matches_reference(data, field_map, **kwargs)
+        assert_matches_reference(data, **kwargs)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.binary(max_size=40), max_size=8))
     def test_property_arbitrary_line_bytes_never_raise(self, lines):
         data = b"\n".join(lines)
         assume(data[:2] != b"\x1f\x8b")  # a corrupt gzip header is fatal by design
-        assert_matches_reference(data, FieldMap())
+        assert_matches_reference(data)
