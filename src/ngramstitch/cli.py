@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import click
@@ -17,13 +18,14 @@ from .pipeline import (
     EmptyInputError,
     RunConfig,
     fetch_window,
+    open_replacing,
     reconstruct_command,
     summary_lines,
     validate_command,
 )
 from .records import ParseError, _parse_date, record_to_json_dict
 from .shredder import MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST, ShredConfig, shred
-from .similarity import format_report_table
+from .similarity import DEFAULT_THRESHOLDS, format_report_table
 
 
 # The keys a `reconstruct` config file may hold, by the type of their value.
@@ -146,7 +148,7 @@ def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
 @main.command()
 @click.argument("reconstructed", type=click.Path())
 @click.argument("reference", type=click.Path())
-@click.option("--thresholds", default="0.6,0.7,0.8", show_default=True,
+@click.option("--thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), show_default=True,
               help="Comma-separated Jaccard cutoffs for the filter columns.")
 @click.option("--report-json", type=click.Path(), help="Write the machine-readable report here.")
 @click.option("--report-table", type=click.Path(), help="Write the text table here (also printed).")
@@ -204,31 +206,24 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, dr
     prefix = url_prefix if url_prefix.endswith("/") else url_prefix + "/"
 
     try:
-        with open(output, "w", encoding="utf-8") as out_fh:
-            reference_fh = (
-                open(reference_out, "w", encoding="utf-8") if reference_out else None
-            )
-            try:
-                for source in sources:
-                    path = Path(source)
-                    text = path.read_text(encoding="utf-8")
-                    url = prefix + path.stem
-                    try:
-                        records = shred(text, config, url=url, lang=lang)
-                    except ValueError as exc:
-                        raise click.UsageError(f"{source}: {exc}")
-                    for record in records:
-                        out_fh.write(json.dumps(record_to_json_dict(record), ensure_ascii=False))
-                        out_fh.write("\n")
-                    if reference_fh is not None:
-                        clean = " ".join(text.split())
-                        reference_fh.write(
-                            json.dumps({"url": url, "text": clean}, ensure_ascii=False)
-                        )
-                        reference_fh.write("\n")
-            finally:
+        with ExitStack() as stack:
+            out_fh = stack.enter_context(open_replacing(output))
+            reference_fh = stack.enter_context(open_replacing(reference_out)) if reference_out else None
+            for source in sources:
+                path = Path(source)
+                text = path.read_text(encoding="utf-8")
+                url = prefix + path.stem
+                try:
+                    records = shred(text, config, url=url, lang=lang)
+                except ValueError as exc:
+                    raise click.UsageError(f"{source}: {exc}")
+                for record in records:
+                    out_fh.write(json.dumps(record_to_json_dict(record), ensure_ascii=False))
+                    out_fh.write("\n")
                 if reference_fh is not None:
-                    reference_fh.close()
+                    clean = " ".join(text.split())
+                    reference_fh.write(json.dumps({"url": url, "text": clean}, ensure_ascii=False))
+                    reference_fh.write("\n")
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)

@@ -10,11 +10,12 @@ import time
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from http.client import HTTPException
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 from urllib.error import HTTPError
 
 from .assembly import AssemblyConfig, assemble, deduplicate
@@ -27,6 +28,7 @@ from .records import (
     parse_file,
 )
 from .similarity import (
+    DEFAULT_THRESHOLDS,
     SimilarityReport,
     format_report_table,
     report_to_json_dict,
@@ -48,6 +50,23 @@ INPUT_SUFFIXES = (".json", ".ndjson", ".jsonl", ".gz")
 
 class EmptyInputError(RuntimeError):
     """No records survived parsing and filtering."""
+
+
+@contextmanager
+def open_replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Write ``<path>.part`` ("w": UTF-8 text, "wb": bytes), creating missing
+    parent directories, and rename it onto ``path`` when the block completes.
+    A block that raises deletes the part file and leaves ``path`` as it was."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    partial = target.with_name(target.name + ".part")
+    try:
+        with open(partial, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -187,15 +206,15 @@ def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig
 
 
 def expand_inputs(inputs: Iterable[str | Path]) -> list[Path]:
-    """Resolve input paths; directories expand to their record files, sorted
-    for reproducible ordering."""
+    """Resolve input paths; directories expand to the regular files among
+    their entries with a record suffix, sorted for reproducible ordering."""
     paths: list[Path] = []
     for item in inputs:
         path = Path(item)
         if path.is_dir():
-            paths.extend(
-                sorted(p for p in path.iterdir() if p.suffix.lower() in INPUT_SUFFIXES)
-            )
+            paths.extend(sorted(
+                p for p in path.iterdir() if p.suffix.lower() in INPUT_SUFFIXES and p.is_file()
+            ))
         else:
             paths.append(path)
     return paths
@@ -205,8 +224,8 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     """Parse all inputs, reconstruct every URL group, write the corpus.
 
     Output is NDJSON, one article per line, sorted by URL so the file bytes
-    are identical for any worker count. It is written to ``<output>.part``
-    and renamed into place, so a failed write leaves any previous corpus
+    are identical for any worker count. It is written through
+    :func:`open_replacing`, so a failed write leaves any previous corpus
     intact. A group that raises, or whose result had not arrived when a
     worker process died, is counted in ``groups_skipped`` and listed in
     ``group_errors``. An unreadable file (ParseError, say a truncated gzip)
@@ -262,23 +281,14 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             articles.append(article)
 
     articles.sort(key=lambda a: a.url)
-    output = Path(config.output)
-    if output.parent and not output.parent.exists():
-        output.parent.mkdir(parents=True, exist_ok=True)
-    partial = output.with_name(output.name + ".part")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            for article in articles:
-                fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
-                fh.write("\n")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, output)
+    with open_replacing(config.output) as fh:
+        for article in articles:
+            fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
+            fh.write("\n")
 
     summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started
-    summary.output = str(output)
+    summary.output = str(Path(config.output))
     return summary
 
 
@@ -310,15 +320,15 @@ class JoinStats:
 def validate_command(
     reconstructed_path: str | Path,
     reference_path: str | Path,
-    thresholds: Sequence[float] = (0.6, 0.7, 0.8),
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     report_json: str | Path | None = None,
     report_table: str | Path | None = None,
 ) -> tuple[SimilarityReport, JoinStats]:
     """Join two corpora on exact URL equality and score the matched pairs.
 
     Unmatched URLs on either side are counted, not scored. The report is
-    written as JSON and/or an aligned table when paths are given; zero
-    matches is a warning, not an error.
+    written as JSON and/or an aligned table when paths are given, and a
+    failed write leaves neither new file; zero matches is a warning.
     """
     reconstructed = read_corpus(reconstructed_path)
     reference = read_corpus(reference_path)
@@ -336,16 +346,17 @@ def validate_command(
     pairs = [(reconstructed[url], reference[url], url) for url in matched_urls]
     report = validate_corpus(pairs, thresholds)
 
-    if report_json is not None:
-        payload = report_to_json_dict(report)
-        payload["pairs_matched"] = stats.matched
-        payload["unmatched_reconstructed"] = stats.unmatched_reconstructed
-        payload["unmatched_reference"] = stats.unmatched_reference
-        with open(report_json, "w", encoding="utf-8") as fh:
+    with ExitStack() as stack:
+        if report_json is not None:
+            payload = report_to_json_dict(report)
+            payload["pairs_matched"] = stats.matched
+            payload["unmatched_reconstructed"] = stats.unmatched_reconstructed
+            payload["unmatched_reference"] = stats.unmatched_reference
+            fh = stack.enter_context(open_replacing(report_json))
             json.dump(payload, fh, ensure_ascii=False, indent=2)
             fh.write("\n")
-    if report_table is not None:
-        with open(report_table, "w", encoding="utf-8") as fh:
+        if report_table is not None:
+            fh = stack.enter_context(open_replacing(report_table))
             fh.write(format_report_table(report))
             fh.write("\n")
     return report, stats
@@ -371,10 +382,10 @@ def fetch_window(
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
     truncated bodies) are retried with exponential backoff, up to
-    ``FETCH_ATTEMPTS`` tries, then skipped. Each file is written as
-    ``<name>.part`` and renamed into place, so a killed run leaves no
-    truncated file under the final name. Only an unwritable destination is
-    fatal. Returns the paths actually written.
+    ``FETCH_ATTEMPTS`` tries, then skipped. Each file is written through
+    :func:`open_replacing`, so a killed run leaves no truncated file under
+    the final name. Only an unwritable destination is fatal. Returns the
+    paths actually written.
     """
     if start > end:
         raise ValueError("fetch window start must not be after end")
@@ -392,9 +403,8 @@ def fetch_window(
         content = _fetch_one(url, backoff_base, timeout)
         if content is not None:
             target = dest_dir / url.rsplit("/", 1)[-1]
-            partial = target.with_name(target.name + ".part")
-            partial.write_bytes(content)
-            os.replace(partial, target)
+            with open_replacing(target, "wb") as fh:
+                fh.write(content)
             downloaded.append(target)
         tick += FETCH_INTERVAL
     if not downloaded:

@@ -107,18 +107,11 @@ def _coerce_int(value) -> int | None:
 
 
 def _binary_lines(stream: BinaryIO) -> Iterable[bytes]:
-    """Yield raw lines, transparently gunzipping when the magic bytes match."""
+    """Yield raw lines, gunzipping a stream that starts with the gzip magic or a prefix of it."""
     if not hasattr(stream, "peek"):
-        if stream.seekable():
-            head = stream.read(2)
-            stream.seek(-len(head), io.SEEK_CUR)
-        else:
-            stream = io.BufferedReader(stream)
-            head = stream.peek(2)[:2]
-    else:
-        head = stream.peek(2)[:2]
-
-    if head == GZIP_MAGIC:
+        stream = io.BufferedReader(stream)
+    head = stream.peek(2)[:2]
+    if head and GZIP_MAGIC.startswith(head):
         try:
             # GzipFile's own line iterator is Python code; a BufferedReader
             # over it splits the decompressed bytes into lines in C.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 _NON_ALNUM = re.compile(r"[\W_]+", re.UNICODE)
+DEFAULT_THRESHOLDS = (0.6, 0.7, 0.8)  # Jaccard cutoffs of the report's filter columns
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def _column(label: str, threshold: float | None, rows: Sequence[PairScores]) -> 
 
 def validate_corpus(
     pairs: Sequence[tuple[str, str, str]],
-    thresholds: Sequence[float] = (0.6, 0.7, 0.8),
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> SimilarityReport:
     """Score (reconstructed, reference, url) pairs and aggregate the results.
 

@@ -136,7 +136,7 @@ def test_config_bad_key_or_value_is_usage_error(runner, tmp_path, key, value):
     assert repr(key) in result.output
 
 
-@pytest.mark.parametrize("cut", [2, 10, 0.5, -9, -1])
+@pytest.mark.parametrize("cut", [1, 2, 10, 0.5, -9, -1])
 def test_cut_gzip_file_skips_only_itself(runner, tmp_path, rng, vocab, vocab_weights, cut):
     texts = [make_article(rng, 80, vocab, vocab_weights), make_article(rng, 1500, vocab, vocab_weights)]
     clean_source, cut_source = write_sources(tmp_path, texts)
@@ -237,6 +237,58 @@ def test_shred_empty_source_is_usage_error(runner, tmp_path):
     empty.write_text("   ")
     result = runner.invoke(main, ["shred", str(empty), "-o", str(tmp_path / "r.ndjson")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("second, exit_code", [("empty", 2), ("missing", 4)])
+def test_failed_shred_leaves_previous_output(
+    runner, tmp_path, rng, vocab, vocab_weights, second, exit_code
+):
+    good = write_sources(tmp_path, [make_article(rng, 40, vocab, vocab_weights)])[0]
+    bad = tmp_path / f"{second}.txt"
+    if second == "empty":
+        bad.write_text("   ")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    records = out_dir / "r.ndjson"
+    records.write_text("previous run\n")
+    result = runner.invoke(
+        main,
+        ["shred", str(good), str(bad), "-o", str(records), "--reference-out", str(out_dir / "ref.ndjson")],
+    )
+    assert result.exit_code == exit_code, result.output
+    assert records.read_text() == "previous run\n"
+    assert [p.name for p in out_dir.iterdir()] == ["r.ndjson"]  # no reference, no .part file
+
+
+def test_failed_validate_report_leaves_no_report(runner, tmp_path):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text('{"url": "u", "text": "x"}\n')
+    table = tmp_path / "table.txt"
+    table.mkdir()  # a file cannot replace a directory
+    result = runner.invoke(
+        main,
+        ["validate", str(corpus), str(corpus), "--report-json", str(tmp_path / "rep.json"),
+         "--report-table", str(table)],
+    )
+    assert result.exit_code == 4, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ndjson", "table.txt"]
+
+
+def test_shred_and_validate_create_missing_directories(runner, tmp_path, rng, vocab, vocab_weights):
+    source = write_sources(tmp_path, [make_article(rng, 40, vocab, vocab_weights)])[0]
+    records = tmp_path / "new" / "dir" / "r.ndjson"
+    reference = tmp_path / "new" / "dir" / "ref.ndjson"
+    result = runner.invoke(
+        main, ["shred", str(source), "-o", str(records), "--reference-out", str(reference)]
+    )
+    assert result.exit_code == 0, result.output
+    assert records.is_file()
+    report = tmp_path / "other" / "dir" / "rep.json"
+    result = runner.invoke(
+        main, ["validate", str(reference), str(reference), "--report-json", str(report)]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["pairs_matched"] == 1
 
 
 def test_shred_deterministic_records(runner, tmp_path, rng, vocab, vocab_weights):

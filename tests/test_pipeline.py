@@ -1,5 +1,6 @@
 import gzip
 import inspect
+import io
 import json
 import os
 import pickle
@@ -252,6 +253,7 @@ def test_expand_inputs_directory_sorted(tmp_path):
     (record_dir / "b.ndjson").write_text("")
     (record_dir / "a.json").write_text("")
     (record_dir / "c.txt").write_text("")  # not a record suffix
+    (record_dir / "d.json").mkdir()  # not a file
     direct = tmp_path / "direct.ndjson"
     direct.write_text("")
     paths = expand_inputs([record_dir, direct])
@@ -390,16 +392,21 @@ class TestFetchWindow:
         assert expand_inputs([tmp_path]) == paths
 
     def test_killed_write_leaves_no_final_name(self, tmp_path, http_server, monkeypatch):
-        def killed_mid_write(path, data):
-            with open(path, "wb") as fh:
-                fh.write(data[:3])
-            raise KeyboardInterrupt
+        written = []
+
+        class KilledMidWrite(io.FileIO):
+            def write(self, data):
+                written.append(super().write(data[:3]))
+                raise KeyboardInterrupt
 
         http_server.script["/20231220100000.gz"] = [(200, b"payload")]
-        monkeypatch.setattr(Path, "write_bytes", killed_mid_write)
+        monkeypatch.setattr(
+            pipeline, "open", lambda path, mode, encoding: KilledMidWrite(path, mode), raising=False
+        )
         with pytest.raises(KeyboardInterrupt):
             self.fetch(http_server, self.ts(0), self.ts(0), tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["20231220100000.gz.part"]
+        assert written == [3]
+        assert list(tmp_path.iterdir()) == []
         assert expand_inputs([tmp_path]) == []
 
     def test_start_after_end_rejected(self, tmp_path, http_server):
