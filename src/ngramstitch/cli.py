@@ -69,6 +69,15 @@ def _url_patterns(flag: tuple[str, ...], file_config: dict, key: str) -> list[st
     return [value] if isinstance(value, str) else value
 
 
+def _reject_same_file(first: str, first_path: str | None, second: str, second_path: str | None) -> None:
+    """Two output options that name one file would both write it: refuse
+    before anything is written."""
+    if first_path is None or second_path is None:
+        return
+    if Path(first_path).resolve() == Path(second_path).resolve():
+        raise click.UsageError(f"{first} and {second} name the same file: {second_path}")
+
+
 def _parse_thresholds(value: str) -> list[float]:
     try:
         thresholds = [float(part) for part in value.split(",") if part.strip()]
@@ -158,6 +167,7 @@ def validate(reconstructed, reference, thresholds, report_json, report_table):
     Both arguments are NDJSON files with at least {"url": ..., "text": ...}
     per line; articles are paired by exact URL match.
     """
+    _reject_same_file("--report-json", report_json, "--report-table", report_table)
     cutoffs = _parse_thresholds(thresholds)
     try:
         report, stats = validate_command(
@@ -199,6 +209,7 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, dr
     Each SOURCE file becomes one article's worth of records, letting the
     whole reconstruct/validate chain run against known ground truth.
     """
+    _reject_same_file("-o/--output", output, "--reference-out", reference_out)
     try:
         config = ShredConfig(window=window, mode=mode, drop_rate=drop_rate, seed=seed)
     except ValueError as exc:

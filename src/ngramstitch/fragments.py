@@ -31,10 +31,11 @@ def build_fragment(record: NgramRecord, source_index: int) -> Fragment | None:
 
     Returns None when nothing remains (blank snippet all around).
     """
-    words = f"{record.pre} {record.ngram} {record.post}".split()
+    ngram, _, _, _, pos, pre, post, _ = record
+    words = f"{pre} {ngram} {post}".split()
     if not words:
         return None
-    return Fragment(words=words, pos=record.pos, source_index=source_index)
+    return Fragment(words, pos, source_index)
 
 
 def strip_wraparound_artifact(fragment: Fragment) -> Fragment | None:

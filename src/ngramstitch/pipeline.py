@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import os
 import time
 import urllib.request
@@ -157,7 +158,7 @@ def reconstruct_group(
     text = " ".join(words)
     if not text:
         return None
-    dates = [r.date for r in records if r.date is not None]
+    dates = [date for r in records if (date := r.date) is not None]
     return ReconstructedArticle(
         url=url,
         lang=records[0].lang,
@@ -178,25 +179,44 @@ def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: Asse
         return url, None, f"{type(exc).__name__}: {exc}"
 
 
-def _group_task(args):
-    """Worker-pool entry. Records arrive as plain tuples, which pickle without
-    a per-record reduce, and are rebuilt here."""
-    url, rows, config = args
-    return _reconstruct_isolated(url, list(map(NgramRecord._make, rows)), config)
+_GROUPS: dict[str, list[NgramRecord]] = {}
+_CONFIG: AssemblyConfig | None = None
+
+
+def _init_worker(groups: dict[str, list[NgramRecord]], config: AssemblyConfig) -> None:
+    """Worker-pool initializer: keep the run's groups and assembly settings
+    in this worker for every task it runs."""
+    global _GROUPS, _CONFIG
+    _GROUPS, _CONFIG = groups, config
+
+
+def _group_task(url: str):
+    """Worker-pool entry: reconstruct one of the groups ``_init_worker`` kept."""
+    return _reconstruct_isolated(url, _GROUPS[url], _CONFIG)
 
 
 def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig) -> list:
-    """Reconstruct the groups in a worker pool. A worker that dies takes the
-    pool down with it; every group whose result did not arrive is reported
-    as a group error, and the results that did arrive are kept."""
-    tasks = [
-        (url, [tuple(r) for r in group], config.assembly) for url, group in groups.items()
-    ]
-    chunksize = max(1, len(tasks) // (config.workers * 4))
+    """Reconstruct the groups in a worker pool; each task is one URL.
+
+    Workers are forked wherever the platform offers fork, so they inherit
+    the groups from this process's memory and no record is pickled; the
+    pool forks them before it starts its own threads. Elsewhere each worker
+    receives one pickled copy of the groups through the initializer. A
+    worker that dies takes the pool down with it; every group whose result
+    did not arrive is reported as a group error, and the results that did
+    arrive are kept."""
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    workers = min(config.workers, len(groups))
+    chunksize = max(1, len(groups) // (workers * 4))
     results = []
     try:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for result in pool.map(_group_task, tasks, chunksize=chunksize):
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker,
+            initargs=(groups, config.assembly),
+        ) as pool:
+            for result in pool.map(_group_task, groups, chunksize=chunksize):
                 results.append(result)
     except BrokenProcessPool as exc:
         done = {url for url, _, _ in results}

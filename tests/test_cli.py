@@ -274,6 +274,28 @@ def test_failed_validate_report_leaves_no_report(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ndjson", "table.txt"]
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("shred", "-o", "--reference-out"),
+    ("validate", "--report-json", "--report-table"),
+])
+def test_two_outputs_naming_one_file_is_usage_error(runner, tmp_path, command, first, second):
+    (tmp_path / "sub").mkdir()
+    source = tmp_path / "article.txt"
+    source.write_text("The council met on Monday to discuss the budget.\n")
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text('{"url": "u", "text": "x"}\n')
+    inputs = [str(source)] if command == "shred" else [str(corpus), str(corpus)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = runner.invoke(
+        main,
+        [command, *inputs, first, str(tmp_path / "x.out"), second, str(tmp_path / "sub" / ".." / "x.out")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "name the same file" in result.output
+    assert first in result.output and second in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_shred_and_validate_create_missing_directories(runner, tmp_path, rng, vocab, vocab_weights):
     source = write_sources(tmp_path, [make_article(rng, 40, vocab, vocab_weights)])[0]
     records = tmp_path / "new" / "dir" / "r.ndjson"

@@ -2,8 +2,8 @@ import gzip
 import inspect
 import io
 import json
+import multiprocessing
 import os
-import pickle
 import stat
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +24,7 @@ from ngramstitch.pipeline import (
     reconstruct_group,
     validate_command,
 )
-from ngramstitch.records import NgramRecord, parse_file, record_to_json_dict
+from ngramstitch.records import NgramRecord, group_by_url, parse_file, record_to_json_dict
 from ngramstitch.shredder import ShredConfig, shred
 from conftest import make_article
 
@@ -170,23 +170,48 @@ class TestReconstructCommand:
         url = "https://n.test/000"
         assert read_corpus(out_both)[url] == read_corpus(out_solo)[url]
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_pool_pickles_no_record(self, tmp_path, rng, vocab, vocab_weights):
+        class Unpicklable(str):
+            def __reduce_ex__(self, protocol):
+                raise TypeError("a record was pickled")
 
-    def test_pool_task_rows_round_trip(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)]
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(3)]
         records_path, _ = shred_corpus(tmp_path, texts, drop_rate=0.2)
         records, _ = parse_file(records_path)
-        url = records[0].url
-        group = [r for r in records if r.url == url]
-        task = (url, [tuple(r) for r in group], AssemblyConfig())
-        shipped = pickle.loads(pickle.dumps(task, pickle.DEFAULT_PROTOCOL))
-        assert all(type(row) is tuple for row in shipped[1])
-        rebuilt = [NgramRecord._make(row) for row in shipped[1]]
-        assert all(type(r) is NgramRecord for r in rebuilt)
-        assert rebuilt == group
-        assert [r.date for r in rebuilt] == [r.date for r in group]
-        assert pipeline._group_task(shipped) == (
-            url, reconstruct_group(url, group, AssemblyConfig()), None
-        )
+        groups = {
+            url: [r._replace(pre=Unpicklable(r.pre)) for r in group]
+            for url, group in group_by_url(records).items()
+        }
+        config = RunConfig(inputs=[records_path], output=tmp_path / "unused.ndjson", workers=2)
+        serial = [
+            pipeline._reconstruct_isolated(url, group, config.assembly) for url, group in groups.items()
+        ]
+        assert all(article is not None and error is None for _, article, error in serial)
+        assert pipeline._reconstruct_in_pool(groups, config) == serial
+
+    def test_spawned_pool_writes_the_serial_bytes(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(4)]
+        records_path, _ = shred_corpus(tmp_path, texts, drop_rate=0.2)
+        serial_out = tmp_path / "serial.ndjson"
+        reconstruct_command(RunConfig(inputs=[records_path], output=serial_out, workers=1))
+
+        methods = []
+        real_get_context = multiprocessing.get_context
+
+        def recording_get_context(method=None):
+            methods.append(method)
+            return real_get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        spawned_out = tmp_path / "spawned.ndjson"
+        summary = reconstruct_command(RunConfig(inputs=[records_path], output=spawned_out, workers=2))
+        assert methods == ["spawn"]
+        assert summary.group_errors == []
+        assert spawned_out.read_bytes() == serial_out.read_bytes()
 
     def test_killed_worker_is_a_group_error(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(6)]
