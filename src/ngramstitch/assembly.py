@@ -7,9 +7,10 @@ that end. Any overlap of at least ``min_overlap`` (m) words starts with the
 fragment's first m words or ends with its last m, so one index of those m-word
 keys finds every candidate and a slice compare confirms it. Fragments that
 never reach the overlap threshold are appended at the end in position order so
-no content is silently lost. A final pass collapses adjacent duplicated runs
-introduced at bad junctions, finding candidates through an index of m-word
-starts in the same way.
+no content is silently lost. A final sweep collapses adjacent duplicated runs
+left at bad junctions: it interns each m-word start once, finds candidates as
+later starts with the same key, and never revisits a start whose key has no
+later copy.
 """
 
 from __future__ import annotations
@@ -144,36 +145,59 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
     return draft
 
 
-def _leftmost_dup(out: list[str], min_run: int) -> tuple[int, int] | None:
-    """Leftmost (i, k) with out[i:i+k] == out[i+k:i+2k], k >= min_run and k
-    maximal at that i; None when ``out`` holds no such run."""
-    n = len(out)
-    starts = _index(tuple(out[p : p + min_run]) for p in range(n - min_run + 1))
-    for i in range(n - 2 * min_run + 1):
-        for j in reversed(starts[tuple(out[i : i + min_run])]):
-            k = j - i
-            if k < min_run:
-                break
-            if out[i:j] == out[j : j + k]:
-                return i, k
-    return None
-
-
 def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[str]:
     """Collapse adjacent duplicated runs of at least ``min_dup_run`` words.
 
     Repeatedly finds the leftmost position i where some run of k words is
-    immediately followed by an identical run, takes the largest such k, keeps
-    one copy, and rescans until no such run remains. A second copy of the run
-    starts at j = i + k with the same first ``min_dup_run`` words, so the only
-    candidate lengths at i are k = j - i for the later starts j of that word
-    tuple, taken from one index per pass and tried largest first. Only
-    adjacent duplicates are touched, so legitimate long-range repetition
-    (quotes, refrains) survives.
+    immediately followed by an identical run, takes the largest such k, and
+    keeps one copy, until no such run remains. Only adjacent duplicates are
+    touched, so legitimate long-range repetition (quotes, refrains) survives.
+
+    With m = ``min_dup_run``, a second copy of the run starts at j = i + k
+    with the same first m words, so the candidate lengths at i are k = j - i
+    for the later starts j of that m-word key, tried largest first. One loop
+    does every pass, resting on two facts:
+
+    - Each key is interned once per call, as a small int in ``ids``, kept in
+      step with ``out``. The two copies are equal, so deleting the second
+      leaves ``out[:i] + out[i+k:]`` and the key list ``ids[:i] + ids[i+k:]``,
+      and no key is built again. (Deleting ``ids[i+k:i+2k]`` instead would
+      be wrong at the m - 1 keys that straddle the cut.)
+    - A deletion creates no key value, and for every start before the cut
+      the later copies of its key can only vanish or move closer. A start
+      whose key has no copy at least m words on is therefore dead for good,
+      and the next pass resumes at the first start of this pass that had
+      such a copy: the hit itself, or an earlier start whose compares all
+      failed. Not at the cut: it can complete a run at an earlier start, as
+      in ``a b c d c d a b c d`` with m = 2, where removing the second
+      ``c d`` leaves ``a b c d a b c d``.
     """
     cfg = config or AssemblyConfig()
+    m = cfg.min_dup_run
     out = list(words)
-    while (dup := _leftmost_dup(out, cfg.min_dup_run)) is not None:
-        i, k = dup
-        del out[i + k : i + 2 * k]
-    return out
+    interned: dict[tuple, int] = {}
+    ids = [interned.setdefault(key, len(interned)) for key in zip(*(out[s:] for s in range(m)))]
+    resume = 0
+    while True:
+        n = len(out)
+        # each key's last start; exact for every start from `resume` on
+        last = dict(zip(ids[resume:], range(resume, len(ids))))
+        live = None
+        for i in range(resume, n - 2 * m + 1):
+            key = ids[i]
+            if last[key] < i + m:
+                continue  # dead: no later copy of the key at least m words on
+            if live is None:
+                live = i
+            # later copies, largest run first; the second copy must fit in `out`
+            for j in range(min(last[key], i + (n - i) // 2), i + m - 1, -1):
+                if ids[j] == key and out[i:j] == out[j : 2 * j - i]:
+                    break
+            else:
+                continue
+            del out[j : 2 * j - i]
+            del ids[i:j]
+            resume = live
+            break
+        else:
+            return out

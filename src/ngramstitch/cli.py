@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from collections.abc import Iterable
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from .pipeline import (
     DEFAULT_FETCH_TEMPLATE,
     EXIT_EMPTY_INPUT,
     EXIT_IO_ERROR,
+    EXIT_PARTIAL,
     EmptyInputError,
     RunConfig,
+    expand_inputs,
     fetch_window,
     open_replacing,
     reconstruct_command,
@@ -69,13 +72,18 @@ def _url_patterns(flag: tuple[str, ...], file_config: dict, key: str) -> list[st
     return [value] if isinstance(value, str) else value
 
 
-def _reject_same_file(first: str, first_path: str | None, second: str, second_path: str | None) -> None:
-    """Two output options that name one file would both write it: refuse
-    before anything is written."""
-    if first_path is None or second_path is None:
-        return
-    if Path(first_path).resolve() == Path(second_path).resolve():
-        raise click.UsageError(f"{first} and {second} name the same file: {second_path}")
+def _reject_same_file(outputs: list[tuple[str, str | None]], inputs: Iterable[str | Path]) -> None:
+    """Refuse, before anything is written, an output option (given as an
+    (option, path or None) pair) that names one of the command's input files
+    or another output: writing it would replace that file."""
+    taken = {Path(path).resolve(): f"input {path}" for path in inputs}
+    for option, path in outputs:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise click.UsageError(f"{taken[resolved]} and {option} name the same file: {path}")
+        taken[resolved] = option
 
 
 def _parse_thresholds(value: str) -> list[float]:
@@ -140,6 +148,7 @@ def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
         raise click.UsageError(str(exc))
 
     try:
+        _reject_same_file([("-o/--output", output)], expand_inputs(inputs))
         summary = reconstruct_command(run_config)
     except EmptyInputError as exc:
         click.echo(f"empty input: {exc}", err=True)
@@ -152,6 +161,8 @@ def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
         sys.exit(EXIT_IO_ERROR)
     for line in summary_lines(summary):
         click.echo(line, err=True)
+    if summary.file_errors or summary.group_errors:
+        sys.exit(EXIT_PARTIAL)
 
 
 @main.command()
@@ -167,7 +178,9 @@ def validate(reconstructed, reference, thresholds, report_json, report_table):
     Both arguments are NDJSON files with at least {"url": ..., "text": ...}
     per line; articles are paired by exact URL match.
     """
-    _reject_same_file("--report-json", report_json, "--report-table", report_table)
+    _reject_same_file(
+        [("--report-json", report_json), ("--report-table", report_table)], [reconstructed, reference]
+    )
     cutoffs = _parse_thresholds(thresholds)
     try:
         report, stats = validate_command(
@@ -209,7 +222,7 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, dr
     Each SOURCE file becomes one article's worth of records, letting the
     whole reconstruct/validate chain run against known ground truth.
     """
-    _reject_same_file("-o/--output", output, "--reference-out", reference_out)
+    _reject_same_file([("-o/--output", output), ("--reference-out", reference_out)], sources)
     try:
         config = ShredConfig(window=window, mode=mode, drop_rate=drop_rate, seed=seed)
     except ValueError as exc:

@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 
 EXIT_EMPTY_INPUT = 3
 EXIT_IO_ERROR = 4
+EXIT_PARTIAL = 5  # a corpus was written, but some input file or URL group failed
 
 FETCH_INTERVAL = timedelta(minutes=15)
 FETCH_ATTEMPTS = 3

@@ -279,6 +279,21 @@ class TestDeduplicate:
         words = ["a", "b", "c", "d", "e", "x", "a", "b", "c", "d", "e"]
         assert deduplicate(words, AssemblyConfig(min_dup_run=5)) == words
 
+    def test_cut_completes_an_earlier_run(self):
+        # removing the second "c d" at (2, 2) leaves "a b c d a b c d", a run
+        # at 0 whose start failed its compare before the cut: the next pass
+        # must begin there, not at the hit or the cut
+        words = "a b c d c d a b c d".split()
+        assert deduplicate(words, AssemblyConfig(min_dup_run=2)) == "a b c d".split()
+
+    def test_keys_straddling_the_cut(self):
+        # removing the second "b b c" at (0, 3) leaves "b b c a b c a"; its
+        # keys at 1 and 2 ("b c a", "c a b") span the cut, so they come from
+        # after the removed copy, and the first of them starts the run (1, 3)
+        words = "b b c b b c a b c a".split()
+        assert deduplicate(words, AssemblyConfig(min_dup_run=3)) == "b b c a".split()
+        assert dedup_reference(words, 3) == "b b c a".split()
+
     def test_fuzz_against_reference(self, rng):
         config = AssemblyConfig(min_dup_run=3)
         for trial in range(300):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from ngramstitch import pipeline
 from ngramstitch.cli import main
 from ngramstitch.pipeline import read_corpus
 from conftest import make_article
@@ -159,7 +160,7 @@ def test_cut_gzip_file_skips_only_itself(runner, tmp_path, rng, vocab, vocab_wei
 
     out = tmp_path / "o.ndjson"
     result = runner.invoke(main, ["reconstruct", str(clean), str(broken), "-o", str(out)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 5, result.output  # partial: a corpus, but a file failed
     assert read_corpus(out) == read_corpus(reference)
     assert f"file error: {broken}: unreadable gzip stream" in result.output
     clean_lines = len(clean.read_text().splitlines())
@@ -294,6 +295,54 @@ def test_two_outputs_naming_one_file_is_usage_error(runner, tmp_path, command, f
     assert "name the same file" in result.output
     assert first in result.output and second in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "{records}", "-o", "{records}"],
+    ["reconstruct", "{inputs}", "-o", "{inputs}/../inputs/r.ndjson"],  # a file the directory holds
+    ["validate", "{corpus}", "{reference}", "--report-json", "{corpus}"],
+    ["validate", "{corpus}", "{reference}", "--report-table", "{reference}"],
+    ["shred", "{source}", "-o", "{source}"],
+    ["shred", "{source}", "-o", "{out}", "--reference-out", "{source}"],
+], ids=["reconstruct-file", "reconstruct-dir", "validate-json", "validate-table", "shred-o", "shred-reference"])
+def test_output_naming_an_input_is_usage_error(runner, tmp_path, argv):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    source = inputs / "article.txt"
+    source.write_text("The council met on Monday to discuss the budget for the city library.\n")
+    records = inputs / "r.ndjson"
+    reference = inputs / "ref.ndjson"
+    result = runner.invoke(main, ["shred", str(source), "-o", str(records), "--reference-out", str(reference)])
+    assert result.exit_code == 0, result.output
+    corpus = inputs / "c.ndjson"
+    corpus.write_bytes(reference.read_bytes())
+    paths = dict(inputs=inputs, records=records, reference=reference, corpus=corpus, source=source,
+                 out=tmp_path / "x.ndjson")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    result = runner.invoke(main, [arg.format(**paths) for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert "name the same file" in result.output
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("outcome, exit_code", [("raises", 5), ("no fragments", 0)])
+def test_failed_group_exits_partial(runner, tmp_path, rng, vocab, vocab_weights, monkeypatch, outcome, exit_code):
+    inputs = shred_two_hosts(runner, tmp_path, rng, vocab, vocab_weights)
+    reconstruct_group = pipeline.reconstruct_group
+
+    def fails_on_herald(url, records, config):
+        if "herald.test" not in url:
+            return reconstruct_group(url, records, config)
+        if outcome == "raises":
+            raise RuntimeError("boom")
+        return None  # no usable fragment: skipped, but not an error
+
+    monkeypatch.setattr(pipeline, "reconstruct_group", fails_on_herald)
+    out = tmp_path / "o.ndjson"
+    result = runner.invoke(main, ["reconstruct", *inputs, "-o", str(out), "--workers", "1"])
+    assert result.exit_code == exit_code, result.output
+    assert [url.split("/")[2] for url in read_corpus(out)] == ["other.test"]
+    assert ("group error" in result.output) == (outcome == "raises")
 
 
 def test_shred_and_validate_create_missing_directories(runner, tmp_path, rng, vocab, vocab_weights):
