@@ -55,11 +55,11 @@ class ArticleDraft:
 
 
 def select_seed(fragments: list[Fragment]) -> Fragment:
-    """Pick the starting fragment: minimum pos, then most words, then lowest
-    source index. Deterministic for any input order."""
+    """Pick the starting fragment: minimum pos, then most words, then the
+    earliest in list order."""
     if not fragments:
         raise ValueError("nothing to assemble: empty fragment list")
-    return min(fragments, key=lambda f: (f.pos, -len(f.words), f.source_index))
+    return min(fragments, key=lambda f: (f.pos, -len(f.words)))
 
 
 def _index(keys) -> dict[tuple, list[int]]:
@@ -75,9 +75,9 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
 
     Greedy loop: every round scores all unplaced fragments against both draft
     ends and merges the one with the globally largest overlap at or above
-    ``min_overlap`` (ties broken by lower pos, then lower source index); the
+    ``min_overlap`` (ties broken by lower pos, then list order); the
     overlapping words are written once. When no fragment qualifies, the rest
-    are flushed onto the end in (pos, source_index) order and counted as
+    are flushed onto the end in (pos, list order) and counted as
     unanchored. Each fragment is placed exactly once, so the result is a pure
     function of the fragment list and config.
     """
@@ -87,8 +87,7 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
         words=list(seed.words),
         head_pos=seed.pos,
         tail_pos=seed.pos,
-        fragments_used=1,
-        fragments_unanchored=0,
+        fragments_used=len(fragments),
     )
     items = [f for f in fragments if f is not seed]
     if not items:
@@ -104,28 +103,28 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
         dw = draft.words
         n = len(dw)
         for k in range(min(max_k, n), m - 1, -1):
-            candidates: list[tuple[int, int, int, str]] = []
+            candidates: list[tuple[int, int, str]] = []
             # append: the fragment's first k words are the draft's last k
             for idx in heads.get(tuple(dw[n - k : n - k + m]), ()):
                 frag = items[idx]
                 if idx in active and abs(frag.pos - draft.tail_pos) <= cfg.pos_window and (
                     frag.words[:k] == dw[n - k :]
                 ):
-                    candidates.append((frag.pos, frag.source_index, idx, "append"))
+                    candidates.append((frag.pos, idx, "append"))
             # prepend: the fragment's last k words are the draft's first k
             for idx in tails.get(tuple(dw[k - m : k]), ()):
                 frag = items[idx]
                 if idx in active and abs(frag.pos - draft.head_pos) <= cfg.pos_window and (
                     frag.words[-k:] == dw[:k]
                 ):
-                    candidates.append((frag.pos, frag.source_index, idx, "prepend"))
+                    candidates.append((frag.pos, idx, "prepend"))
             if candidates:
                 break
         else:
             break  # no fragment reaches min_overlap at either end
 
         # "append" < "prepend", so a fragment fitting both ends at this k appends
-        _, _, idx, mode = min(candidates)
+        _, idx, mode = min(candidates)
         frag = items[idx]
         active.discard(idx)
         if mode == "append":
@@ -134,13 +133,11 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
         else:
             dw[:0] = frag.words[: len(frag.words) - k]
             draft.head_pos = min(draft.head_pos, frag.pos)
-        draft.fragments_used += 1
 
     # flush whatever never anchored, in position order, so nothing is dropped
-    for frag in sorted((items[i] for i in active), key=lambda f: (f.pos, f.source_index)):
-        draft.words.extend(frag.words)
-        draft.tail_pos = max(draft.tail_pos, frag.pos)
-        draft.fragments_used += 1
+    for i in sorted(active, key=lambda i: (items[i].pos, i)):
+        draft.words.extend(items[i].words)
+        draft.tail_pos = max(draft.tail_pos, items[i].pos)
         draft.fragments_unanchored += 1
     return draft
 

@@ -23,10 +23,9 @@ class Fragment:
 
     words: list[str]
     pos: int
-    source_index: int
 
 
-def build_fragment(record: NgramRecord, source_index: int) -> Fragment | None:
+def build_fragment(record: NgramRecord) -> Fragment | None:
     """Join pre + ngram + post into a fragment, collapsing all whitespace.
 
     Returns None when nothing remains (blank snippet all around).
@@ -35,7 +34,7 @@ def build_fragment(record: NgramRecord, source_index: int) -> Fragment | None:
     words = f"{pre} {ngram} {post}".split()
     if not words:
         return None
-    return Fragment(words, pos, source_index)
+    return Fragment(words, pos)
 
 
 def strip_wraparound_artifact(fragment: Fragment) -> Fragment | None:
@@ -62,4 +61,4 @@ def strip_wraparound_artifact(fragment: Fragment) -> Fragment | None:
     remainder = fragment.words[cut + 1 :]
     if not remainder:
         return None
-    return Fragment(words=remainder, pos=fragment.pos, source_index=fragment.source_index)
+    return Fragment(remainder, fragment.pos)

@@ -8,16 +8,13 @@ import logging
 import multiprocessing
 import os
 import time
-import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from http.client import HTTPException
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
-from urllib.error import HTTPError
 
 from .assembly import AssemblyConfig, assemble, deduplicate
 from .fragments import build_fragment, strip_wraparound_artifact
@@ -85,18 +82,9 @@ class ReconstructedArticle:
     wraparound_applied: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "url": self.url,
-            "lang": self.lang,
-            "date_first_seen": (
-                self.date_first_seen.isoformat() if self.date_first_seen else None
-            ),
-            "text": self.text,
-            "fragments_total": self.fragments_total,
-            "fragments_used": self.fragments_used,
-            "fragments_unanchored": self.fragments_unanchored,
-            "wraparound_applied": self.wraparound_applied,
-        }
+        """The corpus line: every field in declaration order, the date as ISO."""
+        date = self.date_first_seen
+        return {**vars(self), "date_first_seen": date.isoformat() if date else None}
 
 
 @dataclass
@@ -141,7 +129,7 @@ def reconstruct_group(
     fragments = []
     wraparound_applied = 0
     for index, record in enumerate(records):
-        frag = build_fragment(record, index)
+        frag = build_fragment(record)
         if frag is None:
             continue
         stripped = strip_wraparound_artifact(frag)
@@ -156,15 +144,12 @@ def reconstruct_group(
 
     draft = assemble(fragments, config)
     words = deduplicate(draft.words, config)
-    text = " ".join(words)
-    if not text:
-        return None
     dates = [date for r in records if (date := r.date) is not None]
     return ReconstructedArticle(
         url=url,
         lang=records[0].lang,
         date_first_seen=min(dates) if dates else None,
-        text=text,
+        text=" ".join(words),
         fragments_total=len(records),
         fragments_used=draft.fragments_used,
         fragments_unanchored=draft.fragments_unanchored,
@@ -405,8 +390,9 @@ def fetch_window(
     truncated bodies) are retried with exponential backoff, up to
     ``FETCH_ATTEMPTS`` tries, then skipped. Each file is written through
     :func:`open_replacing`, so a killed run leaves no truncated file under
-    the final name. Only an unwritable destination is fatal. Returns the
-    paths actually written.
+    the final name, and a tick whose file already exists under that name is
+    not requested again (a ``.part`` file never counts). Only an unwritable
+    destination is fatal. Returns the paths this call wrote.
     """
     if start > end:
         raise ValueError("fetch window start must not be after end")
@@ -421,9 +407,10 @@ def fetch_window(
     downloaded: list[Path] = []
     while tick <= aligned_end:
         url = template.format(timestamp=tick.strftime("%Y%m%d%H%M%S"))
-        content = _fetch_one(url, backoff_base, timeout)
-        if content is not None:
-            target = dest_dir / url.rsplit("/", 1)[-1]
+        target = dest_dir / url.rsplit("/", 1)[-1]
+        if target.is_file():
+            logger.info("already downloaded: %s", target)
+        elif (content := _fetch_one(url, backoff_base, timeout)) is not None:
             with open_replacing(target, "wb") as fh:
                 fh.write(content)
             downloaded.append(target)
@@ -434,6 +421,11 @@ def fetch_window(
 
 
 def _fetch_one(url: str, backoff_base: float, timeout: float) -> bytes | None:
+    # imported here: loading urllib.request and http.client adds ~15 ms to every CLI start
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+
     for attempt in range(FETCH_ATTEMPTS):
         try:
             with urllib.request.urlopen(url, timeout=timeout) as response:

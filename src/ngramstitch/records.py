@@ -90,11 +90,7 @@ def _parse_date(value) -> datetime | None:
 
 
 def _coerce_int(value) -> int | None:
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
+    if type(value) is int:  # not bool: a JSON true or false is no number
         return value
     if isinstance(value, float):
         return int(value) if value.is_integer() else None

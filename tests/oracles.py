@@ -99,19 +99,23 @@ def dedup_reference(words: list[str], min_run: int) -> list[str]:
 def assemble_reference(fragments, min_overlap: int, pos_window: int):
     """Straight-line greedy assembly mirroring the published contract.
 
-    Returns (words, fragments_used, fragments_unanchored, merges) where
-    merges lists (source_index, mode, k) in placement order.
+    Ties go to the fragment earlier in the list. Returns (words,
+    fragments_used, fragments_unanchored, merges) where merges lists
+    (list position, mode, k) in placement order.
     """
-    seed = min(fragments, key=lambda f: (f.pos, -len(f.words), f.source_index))
-    words = list(seed.words)
-    head_pos = tail_pos = seed.pos
-    remaining = [f for f in fragments if f is not seed]
+    seed = min(
+        range(len(fragments)), key=lambda i: (fragments[i].pos, -len(fragments[i].words), i)
+    )
+    words = list(fragments[seed].words)
+    head_pos = tail_pos = fragments[seed].pos
+    remaining = [i for i in range(len(fragments)) if i != seed]
     used, unanchored = 1, 0
     merges = []
 
     while remaining:
-        best = None  # (k, pos, source_index, fragment, mode)
-        for frag in remaining:
+        best = None  # (key, position, mode, k)
+        for i in remaining:
+            frag = fragments[i]
             append_k = prepend_k = 0
             if abs(frag.pos - tail_pos) <= pos_window:
                 append_k = overlap_scan(words, frag.words)
@@ -121,12 +125,13 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
             if k < min_overlap:
                 continue
             mode = "append" if append_k >= prepend_k else "prepend"
-            key = (-k, frag.pos, frag.source_index)
+            key = (-k, frag.pos, i)
             if best is None or key < best[0]:
-                best = (key, frag, mode, k)
+                best = (key, i, mode, k)
         if best is None:
             break
-        _, frag, mode, k = best
+        _, i, mode, k = best
+        frag = fragments[i]
         assert (
             abs(frag.pos - (tail_pos if mode == "append" else head_pos)) <= pos_window
         ), "pos gate violated"
@@ -136,12 +141,12 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
         else:
             words = frag.words[: len(frag.words) - k] + words
             head_pos = min(head_pos, frag.pos)
-        remaining.remove(frag)
+        remaining.remove(i)
         used += 1
-        merges.append((frag.source_index, mode, k))
+        merges.append((i, mode, k))
 
-    for frag in sorted(remaining, key=lambda f: (f.pos, f.source_index)):
-        words = words + frag.words
+    for i in sorted(remaining, key=lambda i: (fragments[i].pos, i)):
+        words = words + fragments[i].words
         used += 1
         unanchored += 1
     return words, used, unanchored, merges

@@ -174,7 +174,7 @@ def test_criterion_5_degradation_bound(corpus_texts):
             )
             # independently recompute the unanchored count on the smaller groups
             if len(records) <= 250:
-                fragments = [build_fragment(r, j) for j, r in enumerate(records)]
+                fragments = [build_fragment(r) for r in records]
                 config = AssemblyConfig()
                 _, _, ref_unanchored, _ = assemble_reference(
                     fragments, config.min_overlap, config.pos_window
@@ -191,15 +191,14 @@ def test_criterion_6_wraparound_rule():
         low = Fragment(
             words=["the", "end", "of", "story", "/", "Breaking", "news", "today"],
             pos=10,
-            source_index=0,
         )
         stripped = strip_wraparound_artifact(low)
         assert stripped.words == ["Breaking", "news", "today"]
 
-        high = Fragment(words=["prices", "rose", "/", "sharply"], pos=40, source_index=0)
+        high = Fragment(words=["prices", "rose", "/", "sharply"], pos=40)
         assert strip_wraparound_artifact(high) is high
 
-        empty_tail = Fragment(words=["entire", "tail", "content", "/"], pos=0, source_index=0)
+        empty_tail = Fragment(words=["entire", "tail", "content", "/"], pos=0)
         assert strip_wraparound_artifact(empty_tail) is None
 
         # idempotent once no separator remains

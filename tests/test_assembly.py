@@ -8,13 +8,13 @@ from ngramstitch.shredder import ShredConfig, shred
 from oracles import assemble_reference, dedup_reference, find_adjacent_dup, overlap_scan
 
 
-def frag(words, pos, source_index=0):
-    return Fragment(words=list(words), pos=pos, source_index=source_index)
+def frag(words, pos):
+    return Fragment(words=list(words), pos=pos)
 
 
 def shred_to_fragments(text, window, mode="all_occurrences", drop_rate=0.0, seed=0):
     records = shred(text, ShredConfig(window=window, mode=mode, drop_rate=drop_rate, seed=seed))
-    return [build_fragment(r, i) for i, r in enumerate(records)]
+    return [build_fragment(r) for r in records]
 
 
 @st.composite
@@ -25,13 +25,13 @@ def fragment_soups(draw):
     sides of a 10-point window."""
     letters = st.sampled_from(draw(st.sampled_from(["a", "ab", "abc", "abcd"])))
     fragments = []
-    for idx in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 8))):
         if fragments and draw(st.integers(0, 4)) == 0:
             twin = draw(st.sampled_from(fragments))
-            fragments.append(frag(twin.words, twin.pos, idx))
+            fragments.append(frag(twin.words, twin.pos))
         else:
             words = draw(st.lists(letters, min_size=1, max_size=7))
-            fragments.append(frag(words, 5 * draw(st.integers(0, 20)), idx))
+            fragments.append(frag(words, 5 * draw(st.integers(0, 20))))
     return fragments
 
 
@@ -54,21 +54,22 @@ def planted_dups(draw):
 
 class TestSelectSeed:
     def test_minimum_pos_wins(self):
-        fragments = [frag("a b c".split(), 30, 0), frag("d e".split(), 0, 1), frag("f".split(), 50, 2)]
+        fragments = [frag("a b c".split(), 30), frag("d e".split(), 0), frag("f".split(), 50)]
         assert select_seed(fragments) is fragments[1]
 
     def test_tie_broken_by_length(self):
-        short = frag([f"w{i}" for i in range(8)], 0, 0)
-        long = frag([f"v{i}" for i in range(12)], 0, 1)
+        short = frag([f"w{i}" for i in range(8)], 0)
+        long = frag([f"v{i}" for i in range(12)], 0)
         assert select_seed([short, long]) is long
 
-    def test_tie_broken_by_source_index(self):
-        a = frag(["x", "y"], 0, 4)
-        b = frag(["p", "q"], 0, 2)
-        assert select_seed([a, b]) is b
+    def test_tie_broken_by_list_order(self):
+        a = frag(["x", "y"], 0)
+        b = frag(["p", "q"], 0)
+        assert select_seed([a, b]) is a
+        assert select_seed([b, a]) is b
 
     def test_single_fragment(self):
-        only = frag(["solo"], 70, 0)
+        only = frag(["solo"], 70)
         assert select_seed([only]) is only
 
     def test_empty_raises(self):
@@ -80,14 +81,14 @@ class TestMergeContract:
     """Single merges of one fragment onto a seed, checked through ``assemble``."""
 
     def test_append_two_word_overlap(self):
-        seed = frag(["the", "quick", "brown", "fox"], 10, 0)
-        draft = assemble([seed, frag(["brown", "fox", "jumps", "over"], 20, 1)],
+        seed = frag(["the", "quick", "brown", "fox"], 10)
+        draft = assemble([seed, frag(["brown", "fox", "jumps", "over"], 20)],
                          AssemblyConfig(min_overlap=2))
         assert draft.words == ["the", "quick", "brown", "fox", "jumps", "over"]
         assert (draft.head_pos, draft.tail_pos, draft.fragments_unanchored) == (10, 20, 0)
 
     def test_pos_gate_blocks_overlap(self):
-        fragments = [frag(["c", "d", "e"], 0, 0), frag(["e", "f", "g"], 50, 1)]
+        fragments = [frag(["c", "d", "e"], 0), frag(["e", "f", "g"], 50)]
         blocked = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=10))
         assert blocked.words == ["c", "d", "e", "e", "f", "g"]
         assert blocked.fragments_unanchored == 1
@@ -96,21 +97,21 @@ class TestMergeContract:
         assert merged.fragments_unanchored == 0
 
     def test_no_shared_boundary(self):
-        draft = assemble([frag(["x", "y"], 0, 0), frag(["p", "q"], 0, 1)],
+        draft = assemble([frag(["x", "y"], 0), frag(["p", "q"], 0)],
                          AssemblyConfig(min_overlap=1))
         assert draft.words == ["x", "y", "p", "q"]
         assert draft.fragments_unanchored == 1
 
     def test_prepend_detected(self):
-        seed = frag(["c", "d", "e"], 10, 0)
-        draft = assemble([seed, frag(["a", "b", "c"], 10, 1)], AssemblyConfig(min_overlap=1))
+        seed = frag(["c", "d", "e"], 10)
+        draft = assemble([seed, frag(["a", "b", "c"], 10)], AssemblyConfig(min_overlap=1))
         assert draft.words == ["a", "b", "c", "d", "e"]
         assert draft.fragments_unanchored == 0
 
     def test_append_wins_ties(self):
         # the fragment overlaps both ends of a palindromic seed with k = 3;
         # only an append moves tail_pos onto the fragment's pos
-        fragments = [frag(["a", "b", "a"], 0, 0), frag(["a", "b", "a"], 10, 1)]
+        fragments = [frag(["a", "b", "a"], 0), frag(["a", "b", "a"], 10)]
         draft = assemble(fragments, AssemblyConfig(min_overlap=1))
         assert draft.words == ["a", "b", "a"]
         assert (draft.head_pos, draft.tail_pos, draft.fragments_unanchored) == (0, 10, 0)
@@ -118,11 +119,12 @@ class TestMergeContract:
     def test_matches_brute_force_scan(self, rng):
         for _ in range(500):
             fragments = [
-                frag([rng.choice("abcd") for _ in range(rng.randrange(1, 10))], 0, i)
-                for i in range(2)
+                frag([rng.choice("abcd") for _ in range(rng.randrange(1, 10))], 0)
+                for _ in range(2)
             ]
             seed = select_seed(fragments)
-            other = fragments[1] if seed is fragments[0] else fragments[0]
+            other_at = 1 if seed is fragments[0] else 0
+            other = fragments[other_at]
             draft = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=100))
             ref_words, _, ref_unanchored, merges = assemble_reference(fragments, 1, 100)
             assert draft.words == ref_words
@@ -134,13 +136,13 @@ class TestMergeContract:
                 assert merges == [] and draft.fragments_unanchored == 1
             else:
                 mode = "append" if append_k >= prepend_k else "prepend"
-                assert merges == [(other.source_index, mode, expected_k)]
+                assert merges == [(other_at, mode, expected_k)]
                 assert len(draft.words) == len(seed.words) + len(other.words) - expected_k
 
 
 class TestAssemble:
     def test_single_fragment(self):
-        only = frag(["one", "two", "three"], 0, 0)
+        only = frag(["one", "two", "three"], 0)
         draft = assemble([only])
         assert draft.words == ["one", "two", "three"]
         assert draft.fragments_used == 1
@@ -148,8 +150,8 @@ class TestAssemble:
 
     def test_two_fragment_merge(self):
         fragments = [
-            frag(["the", "quick", "brown", "fox"], 0, 0),
-            frag(["brown", "fox", "jumps", "over"], 10, 1),
+            frag(["the", "quick", "brown", "fox"], 0),
+            frag(["brown", "fox", "jumps", "over"], 10),
         ]
         draft = assemble(fragments, AssemblyConfig(min_overlap=2))
         assert draft.words == ["the", "quick", "brown", "fox", "jumps", "over"]
@@ -200,9 +202,9 @@ class TestAssemble:
         alphabet = ["w1", "w2", "w3", "w4", "w5", "w6"]
         for trial in range(200):
             fragments = []
-            for idx in range(rng.randrange(1, 9)):
+            for _ in range(rng.randrange(1, 9)):
                 words = [rng.choice(alphabet) for _ in range(rng.randrange(1, 7))]
-                fragments.append(frag(words, rng.randrange(0, 101), idx))
+                fragments.append(frag(words, rng.randrange(0, 101)))
             draft = assemble(fragments, config)
             ref_words, ref_used, ref_unanchored, _ = assemble_reference(
                 fragments, config.min_overlap, config.pos_window
@@ -243,9 +245,9 @@ class TestAssemble:
 
     def test_unanchored_fragments_flushed_in_pos_order(self):
         fragments = [
-            frag(["a", "b", "c"], 0, 0),
-            frag(["x", "y", "z"], 90, 1),  # no overlap, far away
-            frag(["p", "q"], 40, 2),
+            frag(["a", "b", "c"], 0),
+            frag(["x", "y", "z"], 90),  # no overlap, far away
+            frag(["p", "q"], 40),
         ]
         draft = assemble(fragments, AssemblyConfig())
         assert draft.words == ["a", "b", "c", "p", "q", "x", "y", "z"]
@@ -256,8 +258,8 @@ class TestAssemble:
         alphabet = ["m1", "m2", "m3", "m4"]
         for _ in range(100):
             fragments = [
-                frag([rng.choice(alphabet) for _ in range(rng.randrange(1, 6))], rng.randrange(0, 101), i)
-                for i in range(rng.randrange(1, 8))
+                frag([rng.choice(alphabet) for _ in range(rng.randrange(1, 6))], rng.randrange(0, 101))
+                for _ in range(rng.randrange(1, 8))
             ]
             draft = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=100))
             assert draft.head_pos <= draft.tail_pos

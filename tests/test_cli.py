@@ -434,7 +434,8 @@ def test_fetch_bad_template_is_usage_error(runner, tmp_path, template, message):
 def test_cli_import_loads_no_http_library():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ngramstitch.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    http = "{'requests', 'urllib3', 'urllib.request', 'http.client'}"
+    code = f"import sys, ngramstitch.cli; print(sorted({http} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )

@@ -2,13 +2,18 @@ import gzip
 import inspect
 import io
 import json
+import logging
 import multiprocessing
 import os
+import random
 import stat
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngramstitch import pipeline
 from ngramstitch.assembly import AssemblyConfig
@@ -26,7 +31,7 @@ from ngramstitch.pipeline import (
 )
 from ngramstitch.records import NgramRecord, group_by_url, parse_file, record_to_json_dict
 from ngramstitch.shredder import ShredConfig, shred
-from conftest import make_article
+from conftest import make_article, make_vocab, zipf_weights
 
 
 def write_records(path: Path, records):
@@ -111,6 +116,45 @@ class TestReconstructCommand:
         reconstruct_command(RunConfig(inputs=[records_path], output=out1, workers=1))
         reconstruct_command(RunConfig(inputs=[records_path], output=out2, workers=4))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_split_input_files_write_the_single_file_corpus(self, seed, data):
+        # the same record lines cut in order into 1-4 files, some gzipped:
+        # a URL group may span files, and the corpus and counts must not notice.
+        # A small vocabulary makes ties and unanchored fragments common, so
+        # records that arrive in another order can change a group's text.
+        rnd = random.Random(seed)
+        vocab = make_vocab(60)
+        weights = zipf_weights(len(vocab))
+        lines = []
+        for i in range(rnd.randrange(1, 5)):
+            text = make_article(rnd, rnd.randrange(20, 80), vocab, weights)
+            config = ShredConfig(window=rnd.randrange(3, 8), drop_rate=0.3, seed=seed + i)
+            for record in shred(text, config, url=f"https://n.test/{i}"):
+                lines.append(json.dumps(record_to_json_dict(record)).encode() + b"\n")
+        rnd.shuffle(lines)  # each group's records spread over every file
+        lines.insert(data.draw(st.integers(0, len(lines))), b"{not json\n")
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            single = tmp / "all.ndjson"
+            single.write_bytes(b"".join(lines))
+            parts = []
+            for n, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(lines)])):
+                chunk = b"".join(lines[lo:hi])
+                if data.draw(st.booleans()):
+                    part, chunk = tmp / f"part{n}.ndjson.gz", gzip.compress(chunk)
+                else:
+                    part = tmp / f"part{n}.ndjson"
+                part.write_bytes(chunk)
+                parts.append(part)
+            whole = reconstruct_command(RunConfig(inputs=[single], output=tmp / "one.ndjson"))
+            split = reconstruct_command(RunConfig(inputs=parts, output=tmp / "split.ndjson"))
+            assert (tmp / "split.ndjson").read_bytes() == (tmp / "one.ndjson").read_bytes()
+        assert split.diagnostics == whole.diagnostics
+        assert whole.diagnostics.lines_malformed == 1
+        assert (split.groups, split.articles, split.file_errors) == (whole.groups, whole.articles, [])
 
     def test_empty_after_filtering_raises(self, tmp_path):
         rec = NgramRecord(ngram="w", url="u", lang="en", lang_type=2, pos=0)
@@ -415,6 +459,26 @@ class TestFetchWindow:
             "x.gz.part",
         ]
         assert expand_inputs([tmp_path]) == paths
+
+    def test_second_call_skips_complete_ticks(self, tmp_path, http_server, caplog):
+        for path in ("/20231220100000.gz", "/20231220101500.gz"):
+            http_server.script[path] = [(200, b"payload")]
+        first = self.fetch(http_server, self.ts(0), self.ts(15), tmp_path)
+        assert len(first) == 2 and len(http_server.requests) == 2
+        with caplog.at_level(logging.INFO, logger="ngramstitch.pipeline"):
+            assert self.fetch(http_server, self.ts(0), self.ts(15), tmp_path) == []
+        assert len(http_server.requests) == 2
+        assert [p.read_bytes() for p in first] == [b"payload", b"payload"]
+        assert sum("already downloaded" in r.getMessage() for r in caplog.records) == 2
+
+    def test_stale_part_file_does_not_stop_a_download(self, tmp_path, http_server):
+        (tmp_path / "20231220100000.gz.part").write_bytes(b"stale")
+        http_server.script["/20231220100000.gz"] = [(200, b"payload")]
+        paths = self.fetch(http_server, self.ts(0), self.ts(0), tmp_path)
+        assert http_server.requests == ["/20231220100000.gz"]
+        assert paths == [tmp_path / "20231220100000.gz"]
+        assert list(tmp_path.iterdir()) == paths
+        assert paths[0].read_bytes() == b"payload"
 
     def test_killed_write_leaves_no_final_name(self, tmp_path, http_server, monkeypatch):
         written = []

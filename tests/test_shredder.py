@@ -104,7 +104,7 @@ def test_master_round_trip(rng, vocab, vocab_weights):
     for trial in range(15):
         text = make_article(rng, rng.randrange(30, 200), vocab, vocab_weights)
         records = shred(text, ShredConfig(window=rng.choice([3, 5, 7])))
-        fragments = [build_fragment(r, i) for i, r in enumerate(records)]
+        fragments = [build_fragment(r) for r in records]
         draft = assemble(fragments, config)
         words = deduplicate(draft.words, config)
         assert words == text.split(), f"trial {trial}"
