@@ -7,6 +7,7 @@ import logging
 import sys
 from collections.abc import Iterable
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -31,14 +32,9 @@ from .shredder import MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST, ShredConfig, sh
 from .similarity import DEFAULT_THRESHOLDS, format_report_table
 
 
-# The keys a `reconstruct` config file may hold, by the type of their value.
-_INT_KEYS = ("min_overlap", "pos_window", "min_dup_run", "workers")
-_STRINGS_KEYS = ("langs", "url_include", "url_exclude")
-
-
-def _load_config_file(path: str | None) -> dict:
-    """The config file's JSON object, after every key and value is checked
-    the way its flag would be."""
+def _load_config_file(path: str | None, options: dict[str, click.Option]) -> dict:
+    """The config file's JSON object, after every key is matched to the option
+    of the same name and its value checked the way that flag's would be."""
     if path is None:
         return {}
     try:
@@ -51,25 +47,27 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
     for key, value in config.items():
-        if key in _INT_KEYS:
+        if key not in options:
+            raise click.UsageError(f"unknown config key {key!r} in {path}")
+        if options[key].type is click.INT:
             ok = type(value) is int  # bool is a subclass of int, but true is no count
             kind = "an integer"
-        elif key in _STRINGS_KEYS:
+        else:
             ok = isinstance(value, str) or (
                 isinstance(value, list) and all(isinstance(part, str) for part in value)
             )
             kind = "a string or a list of strings"
-        else:
-            raise click.UsageError(f"unknown config key {key!r} in {path}")
         if not ok:
             raise click.UsageError(f"config key {key!r} must be {kind}, not {json.dumps(value)}")
     return config
 
 
-def _url_patterns(flag: tuple[str, ...], file_config: dict, key: str) -> list[str]:
-    """Repeated flag values if given, else the config file's pattern or list of patterns."""
-    value = list(flag) or file_config.get(key, [])
-    return [value] if isinstance(value, str) else value
+def _setting(option: click.Option, value):
+    """A setting as its config class takes it: a string is one pattern of a
+    repeatable option, and a comma-separated list for any other option."""
+    if isinstance(value, str):
+        return [value] if option.multiple else [part.strip() for part in value.split(",") if part.strip()]
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _reject_same_file(outputs: list[tuple[str, str | None]], inputs: Iterable[str | Path]) -> None:
@@ -115,35 +113,21 @@ def main(verbose: int):
 @click.option("--pos-window", type=int, help="Max position-decile distance for a merge.")
 @click.option("--min-dup-run", type=int, help="Shortest adjacent duplicate run to collapse.")
 @click.option("--workers", type=int, help=f"Parallel workers over URL groups (default {RunConfig.workers}).")
-def reconstruct(inputs, output, config_path, langs, url_include, url_exclude,
-                min_overlap, pos_window, min_dup_run, workers):
+def reconstruct(inputs, output, config_path, **flags):
     """Reconstruct articles from record files (NDJSON, plain or .gz).
 
     INPUTS are record files or directories of them. Writes one article per
     line, sorted by URL, and a run summary to stderr.
     """
-    file_config = _load_config_file(config_path)
-    langs_value = langs if langs is not None else file_config.get("langs")
-    if isinstance(langs_value, str):
-        langs_value = [part.strip() for part in langs_value.split(",") if part.strip()]
-
-    # Flags win over the config file. A count set by neither is left out, so
-    # the config class that takes it supplies the default.
-    counts = {key: file_config[key] for key in _INT_KEYS if key in file_config}
-    flags = dict(min_overlap=min_overlap, pos_window=pos_window, min_dup_run=min_dup_run, workers=workers)
-    counts.update((key, flag) for key, flag in flags.items() if flag is not None)
-    workers = counts.pop("workers", RunConfig.workers)
-
+    # Every option that lands in **flags is a setting a config file may hold. Flags win
+    # over the file; a setting given by neither is left out, so its config class's default holds.
+    options = {option.name: option for option in reconstruct.params if option.name in flags}
+    settings = _load_config_file(config_path, options)
+    settings.update((name, value) for name, value in flags.items() if value not in (None, ()))
+    settings = {name: _setting(options[name], value) for name, value in settings.items()}
+    assembly = {f.name: settings.pop(f.name) for f in fields(AssemblyConfig) if f.name in settings}
     try:
-        run_config = RunConfig(
-            inputs=list(inputs),
-            output=output,
-            assembly=AssemblyConfig(**counts),
-            langs=langs_value,
-            url_include=_url_patterns(url_include, file_config, "url_include"),
-            url_exclude=_url_patterns(url_exclude, file_config, "url_exclude"),
-            workers=workers,
-        )
+        run_config = RunConfig(list(inputs), output, AssemblyConfig(**assembly), **settings)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -209,14 +193,14 @@ def validate(reconstructed, reference, thresholds, report_json, report_table):
 @click.option("--url-prefix", default="https://synthetic.test/", show_default=True,
               help="Article URLs are this prefix plus each source filename stem.")
 @click.option("--lang", default="en", show_default=True)
-@click.option("--window", type=int, default=7, show_default=True,
+@click.option("--window", type=int, default=ShredConfig.window, show_default=True,
               help="Context words kept on each side.")
 @click.option("--mode", type=click.Choice([MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST]),
-              default=MODE_ALL_OCCURRENCES, show_default=True)
-@click.option("--drop-rate", type=float, default=0.0, show_default=True,
+              default=ShredConfig.mode, show_default=True)
+@click.option("--drop-rate", type=float, default=ShredConfig.drop_rate, show_default=True,
               help="Fraction of records randomly withheld.")
-@click.option("--seed", type=int, default=0, show_default=True)
-def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, drop_rate, seed):
+@click.option("--seed", type=int, default=ShredConfig.seed, show_default=True)
+def shred_cmd(sources, output, reference_out, url_prefix, lang, **settings):
     """Shred plain-text articles into synthetic record files.
 
     Each SOURCE file becomes one article's worth of records, letting the
@@ -224,19 +208,23 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, window, mode, dr
     """
     _reject_same_file([("-o/--output", output), ("--reference-out", reference_out)], sources)
     try:
-        config = ShredConfig(window=window, mode=mode, drop_rate=drop_rate, seed=seed)
+        config = ShredConfig(**settings)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     prefix = url_prefix if url_prefix.endswith("/") else url_prefix + "/"
+    sources_by_url: dict[str, str] = {}
+    for source in sources:
+        url = prefix + Path(source).stem
+        if url in sources_by_url:
+            raise click.UsageError(f"{sources_by_url[url]} and {source} would share the article URL {url}")
+        sources_by_url[url] = source
 
     try:
         with ExitStack() as stack:
             out_fh = stack.enter_context(open_replacing(output))
             reference_fh = stack.enter_context(open_replacing(reference_out)) if reference_out else None
-            for source in sources:
-                path = Path(source)
-                text = path.read_text(encoding="utf-8")
-                url = prefix + path.stem
+            for url, source in sources_by_url.items():
+                text = Path(source).read_text(encoding="utf-8")
                 try:
                     records = shred(text, config, url=url, lang=lang)
                 except ValueError as exc:

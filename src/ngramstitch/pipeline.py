@@ -254,7 +254,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
                 url_exclude=config.url_exclude,
             )
         except ParseError as exc:
-            logger.warning("skipping file %s: %s", path, exc)
+            logger.info("skipping file %s: %s", path, exc)
             file_errors.append((str(path), str(exc)))
             continue
         records.extend(file_records)
@@ -277,7 +277,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     articles: list[ReconstructedArticle] = []
     for url, article, error in results:
         if error is not None:
-            logger.warning("skipping group %s: %s", url, error)
+            logger.info("skipping group %s: %s", url, error)
             summary.group_errors.append((url, error))
             summary.groups_skipped += 1
         elif article is None:
@@ -309,6 +309,8 @@ def read_corpus(path: str | Path) -> dict[str, str]:
             try:
                 obj = json.loads(line)
                 url, text = obj["url"], obj["text"]
+                if not (isinstance(url, str) and isinstance(text, str)):
+                    raise TypeError("url and text must be strings")
             except (json.JSONDecodeError, TypeError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a valid corpus line ({exc})") from exc
             if url not in texts:
@@ -334,7 +336,7 @@ def validate_command(
 
     Unmatched URLs on either side are counted, not scored. The report is
     written as JSON and/or an aligned table when paths are given, and a
-    failed write leaves neither new file; zero matches is a warning.
+    failed write leaves neither new file; zero matches is not an error.
     """
     reconstructed = read_corpus(reconstructed_path)
     reference = read_corpus(reference_path)
@@ -346,9 +348,7 @@ def validate_command(
         unmatched_reference=len(reference) - len(matched_urls),
     )
     if not matched_urls:
-        logger.warning(
-            "no URLs in common between %s and %s", reconstructed_path, reference_path
-        )
+        logger.info("no URLs in common between %s and %s", reconstructed_path, reference_path)
     pairs = [(reconstructed[url], reference[url], url) for url in matched_urls]
     report = validate_corpus(pairs, thresholds)
 
@@ -405,6 +405,7 @@ def fetch_window(
         aligned_end += FETCH_INTERVAL
 
     downloaded: list[Path] = []
+    missing = False
     while tick <= aligned_end:
         url = template.format(timestamp=tick.strftime("%Y%m%d%H%M%S"))
         target = dest_dir / url.rsplit("/", 1)[-1]
@@ -414,8 +415,10 @@ def fetch_window(
             with open_replacing(target, "wb") as fh:
                 fh.write(content)
             downloaded.append(target)
+        else:
+            missing = True
         tick += FETCH_INTERVAL
-    if not downloaded:
+    if missing and not downloaded:
         logger.warning("no files downloaded for window %s .. %s", start, end)
     return downloaded
 

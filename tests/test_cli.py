@@ -6,12 +6,13 @@ import sys
 import zlib
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from ngramstitch import pipeline
-from ngramstitch.cli import main
-from ngramstitch.pipeline import read_corpus
+from ngramstitch import cli, pipeline
+from ngramstitch.cli import main, reconstruct
+from ngramstitch.pipeline import RunSummary, read_corpus
 from conftest import make_article
 
 
@@ -108,6 +109,32 @@ def test_config_file_with_flag_override(runner, tmp_path, rng, vocab, vocab_weig
     )
     assert result.exit_code == 0, result.output  # flag overrides config file
     assert list(read_corpus(out).values()) == [text]
+
+
+# every reconstruct option a config file may set: all but the output and the config file itself
+SETTINGS = [
+    p for p in reconstruct.params if isinstance(p, click.Option) and p.name not in ("output", "config_path")
+]
+
+
+@pytest.mark.parametrize("option", SETTINGS, ids=lambda option: option.name)
+def test_every_setting_is_a_config_key_and_its_flag_wins(runner, tmp_path, monkeypatch, option):
+    runs = []
+    monkeypatch.setattr(cli, "reconstruct_command", lambda config: runs.append(config) or RunSummary())
+    file_value, flag_value = (2, 3) if option.type is click.INT else ("a", "b")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({option.name: file_value}))
+    argv = ["reconstruct", "r.ndjson", "-o", str(tmp_path / "o.ndjson"), "--config", str(config)]
+    for extra in ([], [option.opts[-1], str(flag_value)]):
+        result = runner.invoke(main, argv + extra)
+        assert result.exit_code == 0, result.output
+
+    def setting(run):
+        holder = run.assembly if hasattr(run.assembly, option.name) else run
+        return getattr(holder, option.name)
+
+    expected = [file_value, flag_value] if option.type is click.INT else [[file_value], [flag_value]]
+    assert [setting(run) for run in runs] == expected
 
 
 @pytest.mark.parametrize(
@@ -231,6 +258,20 @@ def test_validate_disjoint_urls_warns_but_succeeds(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(left), str(right)])
     assert result.exit_code == 0
     assert "no matching URLs" in result.output
+
+
+def test_shred_sources_sharing_a_stem_is_usage_error(runner, tmp_path):
+    sources = []
+    for folder, text in (("d1", "The council met on Monday."), ("d2", "Heavy rain closed the road.")):
+        (tmp_path / folder).mkdir()
+        sources.append(tmp_path / folder / "news.txt")
+        sources[-1].write_text(text)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    outputs = ["-o", str(tmp_path / "r.ndjson"), "--reference-out", str(tmp_path / "ref.ndjson")]
+    result = runner.invoke(main, ["shred", *map(str, sources), *outputs])
+    assert result.exit_code == 2, result.output
+    assert str(sources[0]) in result.output and str(sources[1]) in result.output
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 def test_shred_empty_source_is_usage_error(runner, tmp_path):

@@ -174,6 +174,20 @@ class TestReconstructCommand:
         assert summary.articles == 1
         assert read_corpus(out)["https://n.test/z"] == text
 
+    def test_cut_gzip_file_logs_no_warning(self, tmp_path, rng, vocab, vocab_weights, caplog):
+        # the file error is reported once, in the summary; the log has it only at INFO
+        records_path, reference = shred_corpus(tmp_path, [make_article(rng, 50, vocab, vocab_weights)])
+        packed = gzip.compress(records_path.read_bytes())
+        cut = tmp_path / "cut.ndjson.gz"
+        cut.write_bytes(packed[: len(packed) // 2])
+        out = tmp_path / "o.ndjson"
+        with caplog.at_level(logging.INFO, logger="ngramstitch.pipeline"):
+            summary = reconstruct_command(RunConfig(inputs=[records_path, cut], output=out))
+        assert [path for path, _ in summary.file_errors] == [str(cut)]
+        assert read_corpus(out) == reference
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert any(str(cut) in r.getMessage() for r in caplog.records)
+
     def test_accounting_matches_parsed_records(self, tmp_path, rng, vocab, vocab_weights):
         texts = [make_article(rng, 70, vocab, vocab_weights) for _ in range(4)]
         records_path, _ = shred_corpus(tmp_path, texts)
@@ -384,13 +398,24 @@ class TestValidateCommand:
         assert len(payload["summary"]) == 8
         assert "Levenshtein" in table_path.read_text()
 
-    def test_malformed_corpus_line_raises(self, tmp_path):
-        bad = tmp_path / "bad.ndjson"
-        bad.write_text('{"url": "u"}\n')  # no text field
-        good = tmp_path / "good.ndjson"
-        self.write_corpus(good, {"u": "x"})
-        with pytest.raises(ValueError):
-            validate_command(bad, good)
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"url": "u2"}',  # no text field
+            '{"url": 5, "text": "x"}',
+            '{"url": "u2", "text": null}',
+            '{"url": ["x"], "text": "x"}',
+        ],
+        ids=["no-text", "int-url", "null-text", "list-url"],
+    )
+    def test_malformed_corpus_line_raises(self, tmp_path, line):
+        # both files hold the bad line next to a string URL, so a line let
+        # through would reach the URL join and the scoring
+        left, right = tmp_path / "l.ndjson", tmp_path / "r.ndjson"
+        for path in (left, right):
+            path.write_text(f'{line}\n{{"url": "u", "text": "x"}}\n')
+        with pytest.raises(ValueError, match="not a valid corpus line"):
+            validate_command(left, right)
 
 
 # script for one tick's path -> (file written?, requests made)
@@ -445,8 +470,12 @@ class TestFetchWindow:
         default = inspect.signature(fetch_window).parameters["template"].default
         assert default == DEFAULT_FETCH_TEMPLATE
 
-    def test_all_missing_returns_empty(self, tmp_path, http_server):
+    def test_all_missing_returns_empty(self, tmp_path, http_server, caplog):
         assert self.fetch(http_server, self.ts(0), self.ts(30), tmp_path) == []
+        assert any(
+            r.levelno == logging.WARNING and "no files downloaded" in r.getMessage()
+            for r in caplog.records
+        )
 
     def test_downloads_leave_only_final_names(self, tmp_path, http_server):
         (tmp_path / "x.gz.part").write_bytes(b"stale")
@@ -470,6 +499,7 @@ class TestFetchWindow:
         assert len(http_server.requests) == 2
         assert [p.read_bytes() for p in first] == [b"payload", b"payload"]
         assert sum("already downloaded" in r.getMessage() for r in caplog.records) == 2
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_stale_part_file_does_not_stop_a_download(self, tmp_path, http_server):
         (tmp_path / "20231220100000.gz.part").write_bytes(b"stale")
