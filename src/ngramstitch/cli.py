@@ -15,21 +15,22 @@ import click
 from .assembly import AssemblyConfig
 from .pipeline import (
     DEFAULT_FETCH_TEMPLATE,
-    EXIT_EMPTY_INPUT,
-    EXIT_IO_ERROR,
-    EXIT_PARTIAL,
     EmptyInputError,
     RunConfig,
+    RunSummary,
     expand_inputs,
     fetch_window,
     open_replacing,
     reconstruct_command,
-    summary_lines,
     validate_command,
 )
 from .records import ParseError, _parse_date, record_to_json_dict
 from .shredder import MODE_ALL_OCCURRENCES, MODE_DISTINCT_FIRST, ShredConfig, shred
 from .similarity import DEFAULT_THRESHOLDS, format_report_table
+
+EXIT_EMPTY_INPUT = 3
+EXIT_IO_ERROR = 4
+EXIT_PARTIAL = 5  # a corpus was written, but some input file or URL group failed
 
 
 def _load_config_file(path: str | None, options: dict[str, click.Option]) -> dict:
@@ -82,6 +83,26 @@ def _reject_same_file(outputs: list[tuple[str, str | None]], inputs: Iterable[st
         if resolved in taken:
             raise click.UsageError(f"{taken[resolved]} and {option} name the same file: {path}")
         taken[resolved] = option
+
+
+def summary_lines(summary: RunSummary) -> list[str]:
+    """Human-readable run summary for stderr."""
+    d = summary.diagnostics
+    lines = [
+        f"groups: {summary.groups} ({summary.groups_skipped} skipped)",
+        f"articles written: {summary.articles} -> {summary.output}",
+        (
+            f"records: ok={d.records_ok} malformed={d.lines_malformed} "
+            f"type2_skipped={d.records_type2_skipped} filtered={d.records_filtered} "
+            f"pos_clamped={d.pos_clamped} (lines read: {d.lines_read})"
+        ),
+        f"wall time: {summary.wall_time_s:.2f}s",
+    ]
+    for path, error in summary.file_errors:
+        lines.append(f"file error: {path}: {error}")
+    for url, error in summary.group_errors:
+        lines.append(f"group error: {url}: {error}")
+    return lines
 
 
 def _parse_thresholds(value: str) -> list[float]:
@@ -171,7 +192,10 @@ def validate(reconstructed, reference, thresholds, report_json, report_table):
             reconstructed, reference, cutoffs,
             report_json=report_json, report_table=report_table,
         )
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # a corpus line that is not UTF-8 {url, text} JSON
+        click.echo(f"invalid corpus: {exc}", err=True)
+        sys.exit(EXIT_IO_ERROR)
+    except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
     click.echo(format_report_table(report))

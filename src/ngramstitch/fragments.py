@@ -49,16 +49,10 @@ def strip_wraparound_artifact(fragment: Fragment) -> Fragment | None:
     Returns the fragment itself when the rule does not apply, a new trimmed
     fragment when it does, and None when nothing remains after the cut.
     """
-    if fragment.pos >= WRAPAROUND_POS_LIMIT:
+    words = fragment.words
+    if fragment.pos >= WRAPAROUND_POS_LIMIT or WRAPAROUND_SEPARATOR not in words[1:]:
         return fragment
-    cut = -1
-    for i in range(1, len(fragment.words)):
-        if fragment.words[i] == WRAPAROUND_SEPARATOR:
-            cut = i
-            break
-    if cut < 0:
-        return fragment
-    remainder = fragment.words[cut + 1 :]
+    remainder = words[words.index(WRAPAROUND_SEPARATOR, 1) + 1 :]
     if not remainder:
         return None
     return Fragment(remainder, fragment.pos)

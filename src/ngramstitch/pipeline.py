@@ -35,10 +35,6 @@ from .similarity import (
 
 logger = logging.getLogger(__name__)
 
-EXIT_EMPTY_INPUT = 3
-EXIT_IO_ERROR = 4
-EXIT_PARTIAL = 5  # a corpus was written, but some input file or URL group failed
-
 FETCH_INTERVAL = timedelta(minutes=15)
 FETCH_ATTEMPTS = 3
 DEFAULT_FETCH_TEMPLATE = (
@@ -111,12 +107,16 @@ class RunConfig:
 class RunSummary:
     groups: int = 0
     articles: int = 0
-    groups_skipped: int = 0
     group_errors: list[tuple[str, str]] = field(default_factory=list)
     file_errors: list[tuple[str, str]] = field(default_factory=list)
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
     wall_time_s: float = 0.0
     output: str = ""
+
+    @property
+    def groups_skipped(self) -> int:
+        """Every URL group yields one result: an article, or a skip."""
+        return self.groups - self.articles
 
 
 def reconstruct_group(
@@ -205,9 +205,9 @@ def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig
             for result in pool.map(_group_task, groups, chunksize=chunksize):
                 results.append(result)
     except BrokenProcessPool as exc:
-        done = {url for url, _, _ in results}
+        # pool.map yields in group order, so the unfinished groups are the tail
         error = f"worker died: {exc}"
-        results.extend((url, None, error) for url in groups if url not in done)
+        results.extend((url, None, error) for url in list(groups)[len(results):])
     return results
 
 
@@ -279,10 +279,8 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
         if error is not None:
             logger.info("skipping group %s: %s", url, error)
             summary.group_errors.append((url, error))
-            summary.groups_skipped += 1
         elif article is None:
             logger.info("skipping group %s: no usable fragments", url)
-            summary.groups_skipped += 1
         else:
             articles.append(article)
 
@@ -300,18 +298,20 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
 
 def read_corpus(path: str | Path) -> dict[str, str]:
     """Load an NDJSON corpus ({url, text} per line) into a url -> text map.
-    The first occurrence of a URL wins; later duplicates are ignored."""
+    The first occurrence of a URL wins; later duplicates are ignored. A line
+    that is not UTF-8 {url, text} JSON raises ValueError naming file and line."""
     texts: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 url, text = obj["url"], obj["text"]
                 if not (isinstance(url, str) and isinstance(text, str)):
                     raise TypeError("url and text must be strings")
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a valid corpus line ({exc})") from exc
             if url not in texts:
                 texts[url] = text
@@ -451,23 +451,3 @@ def _fetch_one(url: str, backoff_base: float, timeout: float) -> bytes | None:
             time.sleep(backoff_base * (2**attempt))
     logger.warning("giving up on %s after %d attempts", url, FETCH_ATTEMPTS)
     return None
-
-
-def summary_lines(summary: RunSummary) -> list[str]:
-    """Human-readable run summary for stderr."""
-    d = summary.diagnostics
-    lines = [
-        f"groups: {summary.groups} ({summary.groups_skipped} skipped)",
-        f"articles written: {summary.articles} -> {summary.output}",
-        (
-            f"records: ok={d.records_ok} malformed={d.lines_malformed} "
-            f"type2_skipped={d.records_type2_skipped} filtered={d.records_filtered} "
-            f"pos_clamped={d.pos_clamped} (lines read: {d.lines_read})"
-        ),
-        f"wall time: {summary.wall_time_s:.2f}s",
-    ]
-    for path, error in summary.file_errors:
-        lines.append(f"file error: {path}: {error}")
-    for url, error in summary.group_errors:
-        lines.append(f"group error: {url}: {error}")
-    return lines

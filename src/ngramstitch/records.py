@@ -71,9 +71,7 @@ class ParseDiagnostics:
         )
 
 
-def _parse_date(value) -> datetime | None:
-    if not isinstance(value, str):
-        return None
+def _parse_date(value: str) -> datetime | None:
     text = value.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"

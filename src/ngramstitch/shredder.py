@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from datetime import datetime
 
 from .records import NgramRecord
 
@@ -51,7 +50,6 @@ def shred(
     config: ShredConfig | None = None,
     url: str = "https://synthetic.test/article",
     lang: str = "en",
-    date: datetime | None = None,
 ) -> list[NgramRecord]:
     """Split ``text`` into words and emit one record per selected word.
 
@@ -88,7 +86,6 @@ def shred(
                 pos=decile_pos(i, total),
                 pre=" ".join(words[max(0, i - cfg.window) : i]),
                 post=" ".join(words[i + 1 : min(total, i + cfg.window + 1)]),
-                date=date,
             )
         )
     return records

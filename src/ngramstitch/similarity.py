@@ -41,11 +41,10 @@ class PairScores:
 
 @dataclass(frozen=True)
 class FilterColumn:
-    """Aggregate means over the pairs whose Jaccard overlap exceeds ``threshold``
-    (None = no filter). Means are None when no pair qualifies."""
+    """Aggregate means over the pairs the column's Jaccard filter keeps
+    (all pairs for "No Filter"). Means are None when no pair qualifies."""
 
     label: str
-    threshold: float | None
     pair_count: int
     levenshtein_mean: float | None
     sequence_matcher_mean: float | None
@@ -62,9 +61,7 @@ def preprocess(raw: str) -> NormalizedText:
     non-alphanumeric character becomes a space, whitespace collapsed."""
     text = unicodedata.normalize("NFKC", raw).lower()
     text = _NON_ALNUM.sub(" ", text).strip()
-    # the regex collapses runs already; split/join guards odd whitespace chars
-    tokens = text.split()
-    return NormalizedText(text=" ".join(tokens), tokens=tokens)
+    return NormalizedText(text, text.split())
 
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -211,9 +208,8 @@ def sequence_matcher_similarity(a: str, b: str) -> tuple[float, SequenceMatchSta
                 stack.append((alo, i, blo, j))
             if i + size < ahi and j + size < bhi:
                 stack.append((i + size, ahi, j + size, bhi))
-    total = len(a) + len(b)
-    ratio = 1.0 if total == 0 else 2.0 * matching / total
-    return ratio, SequenceMatchStats(matching_chars=matching, total_chars=total)
+    total = len(a) + len(b)  # not 0: two empty strings are equal
+    return 2.0 * matching / total, SequenceMatchStats(matching_chars=matching, total_chars=total)
 
 
 def jaccard_similarity(tokens_a: Iterable[str], tokens_b: Iterable[str]) -> float:
@@ -231,12 +227,11 @@ def _threshold_label(threshold: float) -> str:
     return f">{percent:g}%"
 
 
-def _column(label: str, threshold: float | None, rows: Sequence[PairScores]) -> FilterColumn:
+def _column(label: str, rows: Sequence[PairScores]) -> FilterColumn:
     if not rows:
-        return FilterColumn(label, threshold, 0, None, None)
+        return FilterColumn(label, 0, None, None)
     return FilterColumn(
         label=label,
-        threshold=threshold,
         pair_count=len(rows),
         levenshtein_mean=sum(r.levenshtein for r in rows) / len(rows),
         sequence_matcher_mean=sum(r.sequence_matcher for r in rows) / len(rows),
@@ -263,10 +258,10 @@ def validate_corpus(
         jac = jaccard_similarity(norm_a.tokens, norm_b.tokens)
         rows.append(PairScores(url=url, levenshtein=lev, sequence_matcher=seq, jaccard=jac))
 
-    columns = [_column("No Filter", None, rows)]
+    columns = [_column("No Filter", rows)]
     for threshold in thresholds:
         kept = [r for r in rows if r.jaccard > threshold]
-        columns.append(_column(_threshold_label(threshold), threshold, kept))
+        columns.append(_column(_threshold_label(threshold), kept))
     return SimilarityReport(pairs=rows, columns=columns)
 
 

@@ -152,17 +152,12 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
     return words, used, unanchored, merges
 
 
-def parse_reference(
-    data: bytes,
-    keys: dict,
-    langs=None,
-    url_include=(),
-    url_exclude=(),
-):
+def parse_reference(data: bytes, langs=None, url_include=(), url_exclude=()):
     """Line-by-line restatement of the record parsing rules.
 
     ``data`` is the whole stream (gunzipped here when it starts with the gzip
-    magic); ``keys`` maps each record field name to its JSON key. Returns
+    magic). Each field is read under its own JSON key, except that
+    ``lang_type`` is "type". Returns
     (records, counts): each record is a dict of its field values, and counts
     holds the same buckets as ``ParseDiagnostics``. Every check runs in the
     documented order and builds the full record before classifying it.
@@ -226,13 +221,13 @@ def parse_reference(
         if not isinstance(obj, dict):
             counts["lines_malformed"] += 1
             continue
-        ngram = obj.get(keys["ngram"])
-        url = obj.get(keys["url"])
-        lang_type = as_int(obj.get(keys["lang_type"]))
-        pos = as_int(obj.get(keys["pos"]))
-        pre = obj.get(keys["pre"], "")
-        post = obj.get(keys["post"], "")
-        lang = obj.get(keys["lang"], "")
+        ngram = obj.get("ngram")
+        url = obj.get("url")
+        lang_type = as_int(obj.get("type"))
+        pos = as_int(obj.get("pos"))
+        pre = obj.get("pre", "")
+        post = obj.get("post", "")
+        lang = obj.get("lang", "")
         valid = (
             isinstance(ngram, str)
             and ngram.strip() != ""
@@ -261,7 +256,7 @@ def parse_reference(
             "pos": pos,
             "pre": pre,
             "post": post,
-            "date": as_date(obj.get(keys["date"])),
+            "date": as_date(obj.get("date")),
         }
         if lang_type == 2:
             counts["records_type2_skipped"] += 1

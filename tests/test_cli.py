@@ -164,6 +164,25 @@ def test_config_bad_key_or_value_is_usage_error(runner, tmp_path, key, value):
     assert repr(key) in result.output
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config file"), ("{workers: 2}", "is not valid JSON"),
+     ('["workers", 2]', "must hold a JSON object")],
+    ids=["missing", "not-json", "list"],
+)
+def test_config_file_unusable_is_usage_error(runner, tmp_path, content, message):
+    records = tmp_path / "r.ndjson"
+    records.write_text("")
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    result = runner.invoke(
+        main, ["reconstruct", str(records), "-o", str(tmp_path / "o.ndjson"), "--config", str(config)]
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
 @pytest.mark.parametrize("cut", [1, 2, 10, 0.5, -9, -1])
 def test_cut_gzip_file_skips_only_itself(runner, tmp_path, rng, vocab, vocab_weights, cut):
     texts = [make_article(rng, 80, vocab, vocab_weights), make_article(rng, 1500, vocab, vocab_weights)]
@@ -250,6 +269,30 @@ def test_validate_missing_file_exit_code(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize(
+    "line", ['{"url": 5, "text": "x"}', '{"url": "u", "text": "caf\xe9"}'], ids=["int-url", "latin-1"]
+)
+def test_validate_malformed_corpus_line_is_invalid_corpus(runner, tmp_path, line):
+    corpus = tmp_path / "bad.ndjson"
+    corpus.write_bytes(f"{line}\n".encode("latin-1"))
+    result = runner.invoke(main, ["validate", str(corpus), str(corpus)])
+    assert result.exit_code == 4
+    assert f"invalid corpus: {corpus}:1: not a valid corpus line" in result.output
+    assert "I/O error" not in result.output
+
+
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [("x", "thresholds must be comma-separated numbers"), ("0.5,1.5", "thresholds must lie in [0, 1]")],
+)
+def test_validate_bad_thresholds_is_usage_error(runner, tmp_path, thresholds, message):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text('{"url": "u", "text": "x"}\n')
+    result = runner.invoke(main, ["validate", str(corpus), str(corpus), "--thresholds", thresholds])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_validate_disjoint_urls_warns_but_succeeds(runner, tmp_path):
     left = tmp_path / "l.ndjson"
     right = tmp_path / "r.ndjson"
@@ -279,6 +322,16 @@ def test_shred_empty_source_is_usage_error(runner, tmp_path):
     empty.write_text("   ")
     result = runner.invoke(main, ["shred", str(empty), "-o", str(tmp_path / "r.ndjson")])
     assert result.exit_code == 2
+
+
+def test_shred_bad_window_is_usage_error(runner, tmp_path):
+    source = tmp_path / "a.txt"
+    source.write_text("one two three")
+    output = tmp_path / "r.ndjson"
+    result = runner.invoke(main, ["shred", str(source), "-o", str(output), "--window", "0"])
+    assert result.exit_code == 2
+    assert "window must be >= 1" in result.output
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("second, exit_code", [("empty", 2), ("missing", 4)])
@@ -470,6 +523,16 @@ def test_fetch_bad_template_is_usage_error(runner, tmp_path, template, message):
     )
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_fetch_dest_naming_a_file_is_io_error(runner, tmp_path):
+    dest = tmp_path / "downloads"
+    dest.write_text("")
+    result = runner.invoke(
+        main, ["fetch", "--start", "20231220100000", "--end", "20231220100000", "--dest", str(dest)]
+    )
+    assert result.exit_code == 4
+    assert "I/O error" in result.output and str(dest) in result.output
 
 
 def test_cli_import_loads_no_http_library():

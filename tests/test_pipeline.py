@@ -291,8 +291,10 @@ class TestReconstructCommand:
         assert summary.groups == len(reference)
         assert doomed in dict(summary.group_errors)
         assert "worker died" in dict(summary.group_errors)[doomed]
-        assert summary.articles + summary.groups_skipped == summary.groups
         assert summary.groups_skipped == len(summary.group_errors)
+        # every URL is either written once or listed once as a group error
+        written = [json.loads(line)["url"] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert sorted(written + [url for url, _ in summary.group_errors]) == sorted(reference)
         corpus = read_corpus(out)
         assert doomed not in corpus and len(corpus) == summary.articles
         assert all(serial[url] == text for url, text in corpus.items())
@@ -405,15 +407,16 @@ class TestValidateCommand:
             '{"url": 5, "text": "x"}',
             '{"url": "u2", "text": null}',
             '{"url": ["x"], "text": "x"}',
+            '{"url": "u2", "text": "caf\xe9"}',  # written as latin-1: not UTF-8
         ],
-        ids=["no-text", "int-url", "null-text", "list-url"],
+        ids=["no-text", "int-url", "null-text", "list-url", "latin-1"],
     )
     def test_malformed_corpus_line_raises(self, tmp_path, line):
         # both files hold the bad line next to a string URL, so a line let
         # through would reach the URL join and the scoring
         left, right = tmp_path / "l.ndjson", tmp_path / "r.ndjson"
         for path in (left, right):
-            path.write_text(f'{line}\n{{"url": "u", "text": "x"}}\n')
+            path.write_bytes(f'{line}\n{{"url": "u", "text": "x"}}\n'.encode("latin-1"))
         with pytest.raises(ValueError, match="not a valid corpus line"):
             validate_command(left, right)
 

@@ -67,6 +67,13 @@ class TestPreprocess:
     def test_underscore_is_not_a_word_char(self):
         assert preprocess("a_b").tokens == ["a", "b"]
 
+    # any text, and text made of separators str.split() does and does not split on
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.text("a_-. \t\n\x1c\x1f\x85\xa0\u1680\u2028\u3000\ufeff")))
+    def test_property_text_is_the_tokens_joined_by_single_spaces(self, raw):
+        norm = preprocess(raw)
+        assert norm.text == " ".join(norm.tokens)
+
 
 class TestLevenshtein:
     def test_kitten_sitting(self):
