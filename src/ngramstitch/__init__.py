@@ -7,7 +7,7 @@ from .assembly import (
     deduplicate,
     select_seed,
 )
-from .fragments import Fragment, build_fragment, strip_wraparound_artifact
+from .fragments import Fragment, build_fragment, slash_neighbours, strip_wraparound_artifact
 from .pipeline import (
     EmptyInputError,
     JoinStats,

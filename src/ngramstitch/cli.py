@@ -43,7 +43,7 @@ def _load_config_file(path: str | None, options: dict[str, click.Option]) -> dic
             config = json.load(fh)
     except OSError as exc:
         raise click.UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
@@ -85,12 +85,12 @@ def _reject_same_file(outputs: list[tuple[str, str | None]], inputs: Iterable[st
         taken[resolved] = option
 
 
-def summary_lines(summary: RunSummary) -> list[str]:
-    """Human-readable run summary for stderr."""
+def summary_lines(summary: RunSummary, output: str | Path) -> list[str]:
+    """Human-readable run summary for stderr, for a corpus written to ``output``."""
     d = summary.diagnostics
     lines = [
         f"groups: {summary.groups} ({summary.groups_skipped} skipped)",
-        f"articles written: {summary.articles} -> {summary.output}",
+        f"articles written: {summary.articles} -> {Path(output)}",
         (
             f"records: ok={d.records_ok} malformed={d.lines_malformed} "
             f"type2_skipped={d.records_type2_skipped} filtered={d.records_filtered} "
@@ -164,7 +164,7 @@ def reconstruct(inputs, output, config_path, **flags):
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
-    for line in summary_lines(summary):
+    for line in summary_lines(summary, output):
         click.echo(line, err=True)
     if summary.file_errors or summary.group_errors:
         sys.exit(EXIT_PARTIAL)
@@ -248,10 +248,10 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, **settings):
             out_fh = stack.enter_context(open_replacing(output))
             reference_fh = stack.enter_context(open_replacing(reference_out)) if reference_out else None
             for url, source in sources_by_url.items():
-                text = Path(source).read_text(encoding="utf-8")
                 try:
+                    text = Path(source).read_text(encoding="utf-8")
                     records = shred(text, config, url=url, lang=lang)
-                except ValueError as exc:
+                except ValueError as exc:  # an empty or a non-UTF-8 source
                     raise click.UsageError(f"{source}: {exc}")
                 for record in records:
                     out_fh.write(json.dumps(record_to_json_dict(record), ensure_ascii=False))

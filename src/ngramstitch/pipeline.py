@@ -14,10 +14,10 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .assembly import AssemblyConfig, assemble, deduplicate
-from .fragments import build_fragment, strip_wraparound_artifact
+from .fragments import build_fragment, slash_neighbours, strip_wraparound_artifact
 from .records import (
     NgramRecord,
     ParseDiagnostics,
@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 FETCH_INTERVAL = timedelta(minutes=15)
 FETCH_ATTEMPTS = 3
+FETCH_BACKOFF_S = 1.0  # the first retry's wait; each later one doubles it
 DEFAULT_FETCH_TEMPLATE = (
     "http://data.gdeltproject.org/gdeltv3/webngrams/{timestamp}.webngrams.json.gz"
 )
@@ -64,8 +65,7 @@ def open_replacing(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-@dataclass(frozen=True)
-class ReconstructedArticle:
+class ReconstructedArticle(NamedTuple):
     """One reconstructed article plus assembly quality counters."""
 
     url: str
@@ -80,7 +80,7 @@ class ReconstructedArticle:
     def to_json_dict(self) -> dict:
         """The corpus line: every field in declaration order, the date as ISO."""
         date = self.date_first_seen
-        return {**vars(self), "date_first_seen": date.isoformat() if date else None}
+        return {**self._asdict(), "date_first_seen": date.isoformat() if date else None}
 
 
 @dataclass
@@ -111,7 +111,6 @@ class RunSummary:
     file_errors: list[tuple[str, str]] = field(default_factory=list)
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
     wall_time_s: float = 0.0
-    output: str = ""
 
     @property
     def groups_skipped(self) -> int:
@@ -126,13 +125,14 @@ def reconstruct_group(
 
     Returns None when no fragment survives cleaning.
     """
+    text_slashes = slash_neighbours(records)
     fragments = []
     wraparound_applied = 0
     for index, record in enumerate(records):
         frag = build_fragment(record)
         if frag is None:
             continue
-        stripped = strip_wraparound_artifact(frag)
+        stripped = strip_wraparound_artifact(frag, text_slashes)
         if stripped is not frag:
             wraparound_applied += 1
             logger.debug("wrap-around prefix removed: url=%s record=%d", url, index)
@@ -292,7 +292,6 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
 
     summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started
-    summary.output = str(Path(config.output))
     return summary
 
 
@@ -318,8 +317,7 @@ def read_corpus(path: str | Path) -> dict[str, str]:
     return texts
 
 
-@dataclass(frozen=True)
-class JoinStats:
+class JoinStats(NamedTuple):
     matched: int
     unmatched_reconstructed: int
     unmatched_reference: int
@@ -378,7 +376,6 @@ def fetch_window(
     end: datetime,
     template: str = DEFAULT_FETCH_TEMPLATE,
     dest: str | Path = ".",
-    backoff_base: float = 1.0,
     timeout: float = 60.0,
 ) -> list[Path]:
     """Download one record file per 15-minute tick in [start, end].
@@ -387,12 +384,12 @@ def fetch_window(
     included. The template is expanded with ``{timestamp}`` (YYYYMMDDHHMMSS).
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
-    truncated bodies) are retried with exponential backoff, up to
-    ``FETCH_ATTEMPTS`` tries, then skipped. Each file is written through
-    :func:`open_replacing`, so a killed run leaves no truncated file under
-    the final name, and a tick whose file already exists under that name is
-    not requested again (a ``.part`` file never counts). Only an unwritable
-    destination is fatal. Returns the paths this call wrote.
+    truncated bodies) are retried after ``FETCH_BACKOFF_S`` seconds, doubling
+    each time, up to ``FETCH_ATTEMPTS`` tries, then skipped. Each file is
+    written through :func:`open_replacing`, so a killed run leaves no
+    truncated file under the final name, and a tick whose file already exists
+    under that name is not requested again (a ``.part`` file never counts).
+    Only an unwritable destination is fatal. Returns the paths this call wrote.
     """
     if start > end:
         raise ValueError("fetch window start must not be after end")
@@ -411,7 +408,7 @@ def fetch_window(
         target = dest_dir / url.rsplit("/", 1)[-1]
         if target.is_file():
             logger.info("already downloaded: %s", target)
-        elif (content := _fetch_one(url, backoff_base, timeout)) is not None:
+        elif (content := _fetch_one(url, timeout)) is not None:
             with open_replacing(target, "wb") as fh:
                 fh.write(content)
             downloaded.append(target)
@@ -423,7 +420,7 @@ def fetch_window(
     return downloaded
 
 
-def _fetch_one(url: str, backoff_base: float, timeout: float) -> bytes | None:
+def _fetch_one(url: str, timeout: float) -> bytes | None:
     # imported here: loading urllib.request and http.client adds ~15 ms to every CLI start
     import urllib.request
     from http.client import HTTPException
@@ -448,6 +445,6 @@ def _fetch_one(url: str, backoff_base: float, timeout: float) -> bytes | None:
             return None
         logger.info("attempt %d for %s failed: %s", attempt + 1, url, failure)
         if attempt + 1 < FETCH_ATTEMPTS:
-            time.sleep(backoff_base * (2**attempt))
+            time.sleep(FETCH_BACKOFF_S * (2**attempt))
     logger.warning("giving up on %s after %d attempts", url, FETCH_ATTEMPTS)
     return None

@@ -10,37 +10,34 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 _NON_ALNUM = re.compile(r"[\W_]+", re.UNICODE)
 DEFAULT_THRESHOLDS = (0.6, 0.7, 0.8)  # Jaccard cutoffs of the report's filter columns
 
 
-@dataclass(frozen=True)
-class NormalizedText:
+class NormalizedText(NamedTuple):
     text: str
     tokens: list[str]
 
 
-@dataclass(frozen=True)
-class SequenceMatchStats:
+class SequenceMatchStats(NamedTuple):
     """Matching character total M and combined length TC behind the ratio."""
 
     matching_chars: int
     total_chars: int
 
 
-@dataclass(frozen=True)
-class PairScores:
+class PairScores(NamedTuple):
+    """One pair's scores, each field named by its key in the JSON report."""
+
     url: str
-    levenshtein: float
-    sequence_matcher: float
+    levenshtein_similarity: float
+    sequence_matcher_similarity: float
     jaccard: float
 
 
-@dataclass(frozen=True)
-class FilterColumn:
+class FilterColumn(NamedTuple):
     """Aggregate means over the pairs the column's Jaccard filter keeps
     (all pairs for "No Filter"). Means are None when no pair qualifies."""
 
@@ -50,10 +47,16 @@ class FilterColumn:
     sequence_matcher_mean: float | None
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(NamedTuple):
     pairs: list[PairScores]
     columns: list[FilterColumn]
+
+
+# each aggregated metric: its JSON report key, its table label, its FilterColumn mean
+METRICS = (
+    ("levenshtein_similarity", "Levenshtein Similarity", "levenshtein_mean"),
+    ("sequence_matcher_similarity", "SequenceMatcher Similarity", "sequence_matcher_mean"),
+)
 
 
 def preprocess(raw: str) -> NormalizedText:
@@ -233,8 +236,8 @@ def _column(label: str, rows: Sequence[PairScores]) -> FilterColumn:
     return FilterColumn(
         label=label,
         pair_count=len(rows),
-        levenshtein_mean=sum(r.levenshtein for r in rows) / len(rows),
-        sequence_matcher_mean=sum(r.sequence_matcher for r in rows) / len(rows),
+        levenshtein_mean=sum(r.levenshtein_similarity for r in rows) / len(rows),
+        sequence_matcher_mean=sum(r.sequence_matcher_similarity for r in rows) / len(rows),
     )
 
 
@@ -256,7 +259,7 @@ def validate_corpus(
         lev = levenshtein_similarity(norm_a.text, norm_b.text)
         seq, _ = sequence_matcher_similarity(norm_a.text, norm_b.text)
         jac = jaccard_similarity(norm_a.tokens, norm_b.tokens)
-        rows.append(PairScores(url=url, levenshtein=lev, sequence_matcher=seq, jaccard=jac))
+        rows.append(PairScores(url, lev, seq, jac))
 
     columns = [_column("No Filter", rows)]
     for threshold in thresholds:
@@ -269,13 +272,9 @@ def format_report_table(report: SimilarityReport) -> str:
     """Render the report as an aligned text table: metrics as rows, one column
     per Jaccard filter, plus a pair-count row."""
     headers = ["Metric"] + [c.label for c in report.columns]
-    metric_rows = [
-        ("Levenshtein Similarity", [c.levenshtein_mean for c in report.columns]),
-        ("SequenceMatcher Similarity", [c.sequence_matcher_mean for c in report.columns]),
-    ]
     body = [
-        [name] + ["-" if v is None else f"{v:.6f}" for v in values]
-        for name, values in metric_rows
+        [label] + ["-" if (v := getattr(c, mean)) is None else f"{v:.6f}" for c in report.columns]
+        for _, label, mean in METRICS
     ]
     body.append(["Pairs"] + [str(c.pair_count) for c in report.columns])
 
@@ -291,27 +290,9 @@ def format_report_table(report: SimilarityReport) -> str:
 def report_to_json_dict(report: SimilarityReport) -> dict:
     """Machine-readable report: one summary row per (metric, filter) plus the
     per-pair scores."""
-    summary = []
-    for metric, attr in (
-        ("levenshtein_similarity", "levenshtein_mean"),
-        ("sequence_matcher_similarity", "sequence_matcher_mean"),
-    ):
-        for col in report.columns:
-            summary.append(
-                {
-                    "metric": metric,
-                    "filter": col.label,
-                    "mean": getattr(col, attr),
-                    "pair_count": col.pair_count,
-                }
-            )
-    pairs = [
-        {
-            "url": r.url,
-            "levenshtein_similarity": r.levenshtein,
-            "sequence_matcher_similarity": r.sequence_matcher,
-            "jaccard": r.jaccard,
-        }
-        for r in report.pairs
+    summary = [
+        {"metric": key, "filter": col.label, "mean": getattr(col, mean), "pair_count": col.pair_count}
+        for key, _, mean in METRICS
+        for col in report.columns
     ]
-    return {"summary": summary, "pairs": pairs}
+    return {"summary": summary, "pairs": [r._asdict() for r in report.pairs]}

@@ -167,15 +167,15 @@ def test_config_bad_key_or_value_is_usage_error(runner, tmp_path, key, value):
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read config file"), ("{workers: 2}", "is not valid JSON"),
-     ('["workers", 2]', "must hold a JSON object")],
-    ids=["missing", "not-json", "list"],
+     ('["workers", 2]', "must hold a JSON object"), ('{"langs": "fran\xe7ais"}', "is not valid JSON")],
+    ids=["missing", "not-json", "list", "latin-1"],
 )
 def test_config_file_unusable_is_usage_error(runner, tmp_path, content, message):
     records = tmp_path / "r.ndjson"
     records.write_text("")
     config = tmp_path / "config.json"
     if content is not None:
-        config.write_text(content)
+        config.write_bytes(content.encode("latin-1"))  # not UTF-8 where it holds a non-ASCII letter
     result = runner.invoke(
         main, ["reconstruct", str(records), "-o", str(tmp_path / "o.ndjson"), "--config", str(config)]
     )
@@ -334,7 +334,7 @@ def test_shred_bad_window_is_usage_error(runner, tmp_path):
     assert not output.exists()
 
 
-@pytest.mark.parametrize("second, exit_code", [("empty", 2), ("missing", 4)])
+@pytest.mark.parametrize("second, exit_code", [("empty", 2), ("latin-1", 2), ("missing", 4)])
 def test_failed_shred_leaves_previous_output(
     runner, tmp_path, rng, vocab, vocab_weights, second, exit_code
 ):
@@ -342,6 +342,8 @@ def test_failed_shred_leaves_previous_output(
     bad = tmp_path / f"{second}.txt"
     if second == "empty":
         bad.write_text("   ")
+    elif second == "latin-1":
+        bad.write_bytes("café".encode("latin-1"))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     records = out_dir / "r.ndjson"
@@ -351,6 +353,7 @@ def test_failed_shred_leaves_previous_output(
         ["shred", str(good), str(bad), "-o", str(records), "--reference-out", str(out_dir / "ref.ndjson")],
     )
     assert result.exit_code == exit_code, result.output
+    assert str(bad) in result.output
     assert records.read_text() == "previous run\n"
     assert [p.name for p in out_dir.iterdir()] == ["r.ndjson"]  # no reference, no .part file
 

@@ -1,4 +1,9 @@
-from ngramstitch.fragments import Fragment, build_fragment, strip_wraparound_artifact
+from ngramstitch.fragments import (
+    Fragment,
+    build_fragment,
+    slash_neighbours,
+    strip_wraparound_artifact,
+)
 from ngramstitch.records import NgramRecord
 
 
@@ -38,8 +43,8 @@ def test_build_contains_ngram_token(rng):
         assert "core" in frag.words
 
 
-def strip(words, pos):
-    return strip_wraparound_artifact(Fragment(words=list(words), pos=pos))
+def strip(words, pos, text_slashes=frozenset()):
+    return strip_wraparound_artifact(Fragment(words=list(words), pos=pos), text_slashes)
 
 
 def test_low_pos_prefix_dropped():
@@ -95,3 +100,34 @@ def test_pos_at_least_20_is_identity(rng):
         words = [rng.choice(["a", "/", "b"]) for _ in range(rng.randrange(1, 8))]
         frag = Fragment(words=words, pos=rng.randrange(20, 101))
         assert strip_wraparound_artifact(frag) is frag
+
+
+def test_slash_neighbours_come_from_slash_records_only():
+    records = [
+        record(pre="x y and", ngram="/", post="or z"),
+        record(pre="", ngram="/", post=""),
+        record(pre="and", ngram="or", post="z / q"),
+    ]
+    assert slash_neighbours(records) == {("and", "or"), (None, None)}
+
+
+def test_slash_with_text_neighbours_kept():
+    frag = Fragment(words=["cats", "and", "/", "or", "dogs"], pos=0)
+    assert strip_wraparound_artifact(frag, frozenset({("and", "or")})) is frag
+
+
+def test_slash_with_other_neighbours_still_cut():
+    result = strip(["cats", "and", "/", "or", "dogs"], pos=0, text_slashes={("and", "nor")})
+    assert result.words == ["or", "dogs"]
+
+
+def test_last_word_slash_matched_on_word_before():
+    frag = Fragment(words=["cats", "and", "/"], pos=0)
+    assert strip_wraparound_artifact(frag, frozenset({("and", "or")})) is frag
+    assert strip(["cats", "but", "/"], pos=0, text_slashes={("and", "or")}) is None
+
+
+def test_empty_evidence_is_the_plain_rule():
+    words = ["the", "end", "/", "Breaking", "news"]
+    assert strip(words, pos=0, text_slashes=frozenset()).words == strip(words, pos=0).words
+    assert strip(words, pos=0).words == ["Breaking", "news"]

@@ -66,9 +66,11 @@ class TestReconstructGroup:
         assert article.fragments_unanchored == 0
         assert article.wraparound_applied == 0
 
+    # the feed's wrap-around separator sits in a word record's pre or post and
+    # is never an ngram itself; a "/" record is a "/" of the article's text
     def test_wraparound_counted(self):
         records = [
-            NgramRecord(ngram="/", url="u", pos=0, pre="tail junk", post="real start here now"),
+            NgramRecord(ngram="junk", url="u", pos=0, pre="tail", post="/ real start here now"),
             NgramRecord(ngram="start", url="u", pos=0, pre="real", post="here now and more"),
         ]
         article = reconstruct_group("u", records, AssemblyConfig(min_overlap=3))
@@ -76,8 +78,28 @@ class TestReconstructGroup:
         assert "junk" not in article.text
 
     def test_all_fragments_dropped_returns_none(self):
-        records = [NgramRecord(ngram="/", url="u", pos=0, pre="only junk before", post="")]
+        records = [NgramRecord(ngram="before", url="u", pos=0, pre="only junk", post="/")]
         assert reconstruct_group("u", records, AssemblyConfig()) is None
+
+    def slashed_text(self):
+        words = [f"w{i}" for i in range(60)]
+        words[4:7] = ["a", "/", "b"]  # in the first fifth, where the wrap-around rule looks
+        return " ".join(words)
+
+    def test_text_slash_round_trips_exactly(self):
+        text = self.slashed_text()
+        records = shred(text, ShredConfig(), url="u")
+        article = reconstruct_group("u", records, AssemblyConfig())
+        assert article.text == text
+        assert article.wraparound_applied == 0
+        assert article.fragments_unanchored == 0
+
+    def test_text_slash_without_its_record_is_cut(self):
+        text = self.slashed_text()
+        records = [r for r in shred(text, ShredConfig(), url="u") if r.ngram != "/"]
+        article = reconstruct_group("u", records, AssemblyConfig())
+        assert article.wraparound_applied > 0
+        assert article.text != text
 
     def test_date_first_seen_is_earliest(self):
         early = datetime(2023, 12, 1, tzinfo=timezone.utc)
@@ -436,10 +458,12 @@ class TestFetchWindow:
     def ts(self, minute, hour=10):
         return datetime(2023, 12, 20, hour, minute, tzinfo=timezone.utc)
 
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FETCH_BACKOFF_S", 0)
+
     def fetch(self, server, start, end, dest):
-        return fetch_window(
-            start, end, template=server.base + "/{timestamp}.gz", dest=dest, backoff_base=0
-        )
+        return fetch_window(start, end, template=server.base + "/{timestamp}.gz", dest=dest)
 
     @pytest.mark.parametrize(
         "script, written, requests_made", FETCH_POLICY.values(), ids=FETCH_POLICY
