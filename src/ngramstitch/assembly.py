@@ -15,7 +15,8 @@ later copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fragments import Fragment
 
@@ -43,15 +44,13 @@ class AssemblyConfig:
             raise ValueError("min_dup_run must be >= 2")
 
 
-@dataclass
-class ArticleDraft:
-    """The evolving reconstruction plus bookkeeping about how it was built."""
+class ArticleDraft(NamedTuple):
+    """One article's assembled words plus how many fragments it placed, and
+    how many of those were flushed onto the end unanchored."""
 
-    words: list[str] = field(default_factory=list)
-    head_pos: int = 0
-    tail_pos: int = 0
-    fragments_used: int = 0
-    fragments_unanchored: int = 0
+    words: list[str]
+    fragments_used: int
+    fragments_unanchored: int
 
 
 def select_seed(fragments: list[Fragment]) -> Fragment:
@@ -83,38 +82,31 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
     """
     cfg = config or AssemblyConfig()
     seed = select_seed(fragments)
-    draft = ArticleDraft(
-        words=list(seed.words),
-        head_pos=seed.pos,
-        tail_pos=seed.pos,
-        fragments_used=len(fragments),
-    )
+    dw = list(seed.words)  # the draft: its words, and the pos of its head and tail
+    head_pos = tail_pos = seed.pos
     items = [f for f in fragments if f is not seed]
-    if not items:
-        return draft
 
     m = cfg.min_overlap
     heads = _index(tuple(f.words[:m]) for f in items)
     tails = _index(tuple(f.words[-m:]) for f in items)
-    max_k = max(len(f.words) for f in items)
+    max_k = max((len(f.words) for f in items), default=0)
     active = set(range(len(items)))
 
     while active:
-        dw = draft.words
         n = len(dw)
         for k in range(min(max_k, n), m - 1, -1):
             candidates: list[tuple[int, int, str]] = []
             # append: the fragment's first k words are the draft's last k
             for idx in heads.get(tuple(dw[n - k : n - k + m]), ()):
                 frag = items[idx]
-                if idx in active and abs(frag.pos - draft.tail_pos) <= cfg.pos_window and (
+                if idx in active and abs(frag.pos - tail_pos) <= cfg.pos_window and (
                     frag.words[:k] == dw[n - k :]
                 ):
                     candidates.append((frag.pos, idx, "append"))
             # prepend: the fragment's last k words are the draft's first k
             for idx in tails.get(tuple(dw[k - m : k]), ()):
                 frag = items[idx]
-                if idx in active and abs(frag.pos - draft.head_pos) <= cfg.pos_window and (
+                if idx in active and abs(frag.pos - head_pos) <= cfg.pos_window and (
                     frag.words[-k:] == dw[:k]
                 ):
                     candidates.append((frag.pos, idx, "prepend"))
@@ -129,17 +121,15 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
         active.discard(idx)
         if mode == "append":
             dw.extend(frag.words[k:])
-            draft.tail_pos = max(draft.tail_pos, frag.pos)
+            tail_pos = max(tail_pos, frag.pos)
         else:
             dw[:0] = frag.words[: len(frag.words) - k]
-            draft.head_pos = min(draft.head_pos, frag.pos)
+            head_pos = min(head_pos, frag.pos)
 
     # flush whatever never anchored, in position order, so nothing is dropped
     for i in sorted(active, key=lambda i: (items[i].pos, i)):
-        draft.words.extend(items[i].words)
-        draft.tail_pos = max(draft.tail_pos, items[i].pos)
-        draft.fragments_unanchored += 1
-    return draft
+        dw.extend(items[i].words)
+    return ArticleDraft(dw, len(fragments), len(active))
 
 
 def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[str]:

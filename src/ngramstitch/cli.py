@@ -15,6 +15,7 @@ import click
 from .assembly import AssemblyConfig
 from .pipeline import (
     DEFAULT_FETCH_TEMPLATE,
+    FETCH_TIMEOUT_S,
     EmptyInputError,
     RunConfig,
     RunSummary,
@@ -273,7 +274,7 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, **settings):
 @click.option("--dest", required=True, type=click.Path(), help="Directory for downloaded files.")
 @click.option("--template", default=DEFAULT_FETCH_TEMPLATE, show_default=True,
               help="URL pattern; {timestamp} expands to YYYYMMDDHHMMSS per 15-minute tick.")
-@click.option("--timeout", type=float, default=60.0, show_default=True)
+@click.option("--timeout", type=float, default=FETCH_TIMEOUT_S, show_default=True)
 def fetch(start, end, dest, template, timeout):
     """Download record files for a time window, one per 15-minute tick.
 

@@ -14,7 +14,9 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
+from string import Formatter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from urllib.parse import urlsplit
 
 from .assembly import AssemblyConfig, assemble, deduplicate
 from .fragments import build_fragment, slash_neighbours, strip_wraparound_artifact
@@ -38,6 +40,7 @@ logger = logging.getLogger(__name__)
 FETCH_INTERVAL = timedelta(minutes=15)
 FETCH_ATTEMPTS = 3
 FETCH_BACKOFF_S = 1.0  # the first retry's wait; each later one doubles it
+FETCH_TIMEOUT_S = 60.0  # per request
 DEFAULT_FETCH_TEMPLATE = (
     "http://data.gdeltproject.org/gdeltv3/webngrams/{timestamp}.webngrams.json.gz"
 )
@@ -158,11 +161,12 @@ def reconstruct_group(
 
 
 def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: AssemblyConfig):
-    """Never raises, so one bad group cannot kill a batch."""
+    """The group's (article, error) pair. Never raises, so one bad group
+    cannot kill a batch."""
     try:
-        return url, reconstruct_group(url, records, config), None
+        return reconstruct_group(url, records, config), None
     except Exception as exc:  # noqa: BLE001 - isolation is the point
-        return url, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 _GROUPS: dict[str, list[NgramRecord]] = {}
@@ -181,8 +185,11 @@ def _group_task(url: str):
     return _reconstruct_isolated(url, _GROUPS[url], _CONFIG)
 
 
-def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig) -> list:
-    """Reconstruct the groups in a worker pool; each task is one URL.
+def _reconstruct_in_pool(
+    urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, workers: int
+) -> list:
+    """Reconstruct the groups of ``urls`` in a pool of ``workers`` processes;
+    each task is one URL, and the results come back in the order of ``urls``.
 
     Workers are forked wherever the platform offers fork, so they inherit
     the groups from this process's memory and no record is pickled; the
@@ -192,22 +199,20 @@ def _reconstruct_in_pool(groups: dict[str, list[NgramRecord]], config: RunConfig
     did not arrive is reported as a group error, and the results that did
     arrive are kept."""
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    workers = min(config.workers, len(groups))
-    chunksize = max(1, len(groups) // (workers * 4))
+    chunksize = max(1, len(urls) // (workers * 4))
     results = []
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(method),
             initializer=_init_worker,
-            initargs=(groups, config.assembly),
+            initargs=(groups, assembly),
         ) as pool:
-            for result in pool.map(_group_task, groups, chunksize=chunksize):
+            for result in pool.map(_group_task, urls, chunksize=chunksize):
                 results.append(result)
     except BrokenProcessPool as exc:
-        # pool.map yields in group order, so the unfinished groups are the tail
-        error = f"worker died: {exc}"
-        results.extend((url, None, error) for url in list(groups)[len(results):])
+        # pool.map yields in the order of urls, so the unfinished groups are the tail
+        results.extend([(None, f"worker died: {exc}")] * (len(urls) - len(results)))
     return results
 
 
@@ -263,19 +268,21 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     if file_errors and len(file_errors) == len(paths):
         raise ParseError("; ".join(f"{path}: {error}" for path, error in file_errors))
     if not records:
-        raise EmptyInputError("no records left after parsing and filtering")
+        lines = ["no records left after parsing and filtering"]
+        lines += [f"file error: {path}: {error}" for path, error in file_errors]
+        raise EmptyInputError("\n".join(lines))
 
     groups = group_by_url(records)
-    if config.workers > 1 and len(groups) > 1:
-        results = _reconstruct_in_pool(groups, config)
+    urls = sorted(groups)  # orders the tasks, their results and the corpus lines
+    workers = min(config.workers, len(urls))
+    if workers > 1:
+        results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
     else:
-        results = [
-            _reconstruct_isolated(url, group, config.assembly) for url, group in groups.items()
-        ]
+        results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
 
-    summary = RunSummary(groups=len(groups), diagnostics=diagnostics, file_errors=file_errors)
+    summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
     articles: list[ReconstructedArticle] = []
-    for url, article, error in results:
+    for url, (article, error) in zip(urls, results, strict=True):
         if error is not None:
             logger.info("skipping group %s: %s", url, error)
             summary.group_errors.append((url, error))
@@ -284,7 +291,6 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
         else:
             articles.append(article)
 
-    articles.sort(key=lambda a: a.url)
     with open_replacing(config.output) as fh:
         for article in articles:
             fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
@@ -376,12 +382,14 @@ def fetch_window(
     end: datetime,
     template: str = DEFAULT_FETCH_TEMPLATE,
     dest: str | Path = ".",
-    timeout: float = 60.0,
+    timeout: float = FETCH_TIMEOUT_S,
 ) -> list[Path]:
     """Download one record file per 15-minute tick in [start, end].
 
     Bounds are rounded outward to 15-minute boundaries and both endpoints are
-    included. The template is expanded with ``{timestamp}`` (YYYYMMDDHHMMSS).
+    included. The template must be an http(s) URL whose only placeholder is
+    ``{timestamp}``, expanded to YYYYMMDDHHMMSS; any other template raises
+    ValueError before the first request.
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
     truncated bodies) are retried after ``FETCH_BACKOFF_S`` seconds, doubling
@@ -393,6 +401,11 @@ def fetch_window(
     """
     if start > end:
         raise ValueError("fetch window start must not be after end")
+    placeholders = {name for _, name, _, _ in Formatter().parse(template) if name is not None}
+    if placeholders - {"timestamp"}:
+        raise ValueError(f"template {template!r} has a placeholder other than {{timestamp}}")
+    if urlsplit(template).scheme not in ("http", "https"):
+        raise ValueError(f"unknown url type in template {template!r}: it must be an http(s) URL")
     dest_dir = Path(dest)
     dest_dir.mkdir(parents=True, exist_ok=True)
 

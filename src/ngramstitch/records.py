@@ -15,14 +15,11 @@ from __future__ import annotations
 import gzip
 import io
 import json
-import logging
 import zlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple
-
-logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
 

@@ -70,6 +70,18 @@ def test_reconstruct_empty_input_exit_code(runner, tmp_path):
     assert "empty input" in result.output
 
 
+def test_empty_input_names_the_unreadable_files(runner, tmp_path):
+    kept = tmp_path / "it.ndjson"
+    kept.write_text('{"ngram":"x","url":"u","lang":"it","type":1,"pos":0,"pre":"","post":""}\n')
+    cut = tmp_path / "cut.ndjson.gz"
+    cut.write_bytes(gzip.compress(kept.read_bytes())[:-1])
+    result = runner.invoke(
+        main, ["reconstruct", str(kept), str(cut), "-o", str(tmp_path / "o.ndjson"), "--langs", "en"]
+    )
+    assert result.exit_code == 3  # the readable file's records are all filtered out
+    assert f"file error: {cut}: unreadable gzip stream" in result.output
+
+
 def test_reconstruct_missing_file_exit_code(runner, tmp_path):
     result = runner.invoke(
         main, ["reconstruct", str(tmp_path / "missing.ndjson"), "-o", str(tmp_path / "o.ndjson")]
@@ -516,7 +528,14 @@ def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_serve
 
 @pytest.mark.parametrize(
     "template, message",
-    [("files.test/{timestamp}.gz", "unknown url type"), ("http://files.test/{", "Single '{'")],
+    [
+        ("files.test/{timestamp}.gz", "unknown url type"),
+        ("http://files.test/{", "Single '{'"),
+        ("http://files.test/{ts}.gz", "placeholder other than {timestamp}"),
+        ("http://files.test/{0}.gz", "placeholder other than {timestamp}"),
+        ("file:///d/{timestamp}.gz", "unknown url type"),
+        ("data:,{timestamp}", "unknown url type"),
+    ],
 )
 def test_fetch_bad_template_is_usage_error(runner, tmp_path, template, message):
     result = runner.invoke(

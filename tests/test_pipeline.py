@@ -265,12 +265,10 @@ class TestReconstructCommand:
             url: [r._replace(pre=Unpicklable(r.pre)) for r in group]
             for url, group in group_by_url(records).items()
         }
-        config = RunConfig(inputs=[records_path], output=tmp_path / "unused.ndjson", workers=2)
-        serial = [
-            pipeline._reconstruct_isolated(url, group, config.assembly) for url, group in groups.items()
-        ]
-        assert all(article is not None and error is None for _, article, error in serial)
-        assert pipeline._reconstruct_in_pool(groups, config) == serial
+        urls, assembly = sorted(groups), AssemblyConfig()
+        serial = [pipeline._reconstruct_isolated(url, groups[url], assembly) for url in urls]
+        assert all(article is not None and error is None for article, error in serial)
+        assert pipeline._reconstruct_in_pool(urls, groups, assembly, 2) == serial
 
     def test_spawned_pool_writes_the_serial_bytes(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(4)]
@@ -491,6 +489,12 @@ class TestFetchWindow:
         assert http_server.requests == [
             f"/20231220{hhmm}00.gz" for hhmm in ("1000", "1015", "1030", "1045", "1100")
         ]
+
+    @pytest.mark.parametrize("path", ["/{ts}.gz", "/{0}.gz", "/{}.gz", "/{timestamp.year}.gz"])
+    def test_bad_template_requests_nothing(self, tmp_path, http_server, path):
+        with pytest.raises(ValueError, match="placeholder other than"):
+            fetch_window(self.ts(0), self.ts(30), template=http_server.base + path, dest=tmp_path)
+        assert http_server.requests == [] and list(tmp_path.iterdir()) == []
 
     def test_default_template_is_the_gdelt_feed(self):
         assert DEFAULT_FETCH_TEMPLATE.startswith("http://data.gdeltproject.org/")
