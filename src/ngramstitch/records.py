@@ -105,8 +105,13 @@ def _binary_lines(stream: BinaryIO) -> Iterable[bytes]:
     if head and GZIP_MAGIC.startswith(head):
         try:
             # GzipFile's own line iterator is Python code; a BufferedReader
-            # over it splits the decompressed bytes into lines in C.
-            with gzip.GzipFile(fileobj=stream) as gz, io.BufferedReader(gz) as lines:
+            # over it splits the decompressed bytes into lines in C. Each
+            # refill calls GzipFile.readinto, which is Python code too, so the
+            # buffer is 64 KiB rather than the default 8 KiB: an eighth of the
+            # calls. On a 2-vCPU Xeon with CPython 3.11, gunzipping and
+            # splitting the feed-filtered bench files took a quarter less CPU
+            # at 64 KiB than at 8 KiB, the same at 128 KiB, more at 256 KiB.
+            with gzip.GzipFile(fileobj=stream) as gz, io.BufferedReader(gz, 1 << 16) as lines:
                 yield from lines
         except (OSError, EOFError, zlib.error) as exc:
             raise ParseError(f"unreadable gzip stream: {exc}") from exc
@@ -114,7 +119,7 @@ def _binary_lines(stream: BinaryIO) -> Iterable[bytes]:
         yield from stream
 
 
-_decode_json = json.JSONDecoder().decode
+_scan_json = json.JSONDecoder().raw_decode
 
 
 def parse_records(
@@ -134,7 +139,9 @@ def parse_records(
     and shared by the records that carry it; so is one string object per
     distinct url and lang.
 
-    Malformed lines (bad UTF-8, bad JSON, JSON nested too deep, an integer
+    A line holds exactly one JSON value, an object; any other text after it
+    (a second value included) makes the line malformed. Malformed lines (bad
+    UTF-8, bad JSON, text after the value, JSON nested too deep, an integer
     literal too long to convert, missing or invalid required fields) are
     skipped and counted, never fatal; only an unreadable stream raises
     ParseError. Blank lines are ignored entirely.
@@ -159,37 +166,43 @@ def parse_records(
             continue
         lines_read += 1
         try:
-            obj = _decode_json(stripped.decode("utf-8"))
+            text = stripped.decode("utf-8")
+            obj, end = _scan_json(text)
         except (ValueError, RecursionError):
             # ValueError covers bad UTF-8, bad JSON and an integer literal
             # past the interpreter's digit limit; RecursionError is JSON
             # nested deeper than the decoder's recursion limit.
             malformed += 1
             continue
-        if not isinstance(obj, dict):
+        # The stripped line has no JSON whitespace at either end, so the value
+        # must end exactly at the end of the line: any text after it makes the
+        # line malformed, as it would for json.loads.
+        if end != len(text) or type(obj) is not dict:
             malformed += 1
             continue
 
         ngram = obj.get("ngram")
         url = obj.get("url")
-        if not isinstance(ngram, str) or not ngram.strip():
-            malformed += 1
-            continue
-        if not isinstance(url, str) or not url.strip():
-            malformed += 1
-            continue
-        lang_type = _coerce_int(obj.get("type"))
-        if lang_type not in (1, 2):
-            malformed += 1
-            continue
-        pos = _coerce_int(obj.get("pos"))
-        if pos is None:
-            malformed += 1
-            continue
+        lang_type = obj.get("type")
+        if type(lang_type) is not int:
+            lang_type = _coerce_int(lang_type)
+        pos = obj.get("pos")
+        if type(pos) is not int:
+            pos = _coerce_int(pos)
         pre = obj.get("pre", "")
         post = obj.get("post", "")
         lang = obj.get("lang", "")
-        if not isinstance(pre, str) or not isinstance(post, str) or not isinstance(lang, str):
+        if not (
+            isinstance(ngram, str)
+            and ngram.strip()
+            and isinstance(url, str)
+            and url.strip()
+            and lang_type in (1, 2)
+            and pos is not None
+            and isinstance(pre, str)
+            and isinstance(post, str)
+            and isinstance(lang, str)
+        ):
             malformed += 1
             continue
         if pos < 0 or pos > 100:

@@ -4,8 +4,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from oracles import find_adjacent_dup
-
 # Deterministic news-ish vocabulary: enough types that coincidental overlaps
 # are rare, sampled with Zipf-like weights so common words repeat naturally.
 _SYLLABLES = [
@@ -35,12 +33,28 @@ def zipf_weights(size: int, exponent: float = 1.05) -> list[float]:
     return [1.0 / (rank**exponent) for rank in range(1, size + 1)]
 
 
+def has_adjacent_dup(words: list[str], min_run: int) -> bool:
+    """Whether some run of ``min_run`` or more words is directly repeated, the
+    question ``oracles.find_adjacent_dup`` answers. Both copies of such a run
+    begin with the same ``min_run`` words, so only later starts that share a
+    start's first ``min_run`` words are compared with it."""
+    starts: dict[tuple[str, ...], list[int]] = {}
+    for i in range(len(words) - min_run + 1):
+        starts.setdefault(tuple(words[i : i + min_run]), []).append(i)
+    for same in starts.values():
+        for a, i in enumerate(same):
+            for j in same[a + 1 :]:
+                if j - i >= min_run and words[i:j] == words[j : 2 * j - i]:
+                    return True
+    return False
+
+
 def make_article(rng: random.Random, n_words: int, vocab, weights, min_dup_run: int = 5) -> str:
     """Random article text guaranteed to carry no adjacent duplicated run of
     ``min_dup_run`` words or more (resampled in the rare case one appears)."""
     while True:
         words = rng.choices(vocab, weights=weights, k=n_words)
-        if find_adjacent_dup(words, min_dup_run) is None:
+        if not has_adjacent_dup(words, min_dup_run):
             return " ".join(words)
 
 

@@ -9,6 +9,8 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngramstitch.assembly import AssemblyConfig, deduplicate
 from ngramstitch.fragments import Fragment, build_fragment, strip_wraparound_artifact
@@ -26,7 +28,7 @@ from ngramstitch.similarity import (
     preprocess,
     sequence_matcher_similarity,
 )
-from conftest import make_article, make_vocab, zipf_weights
+from conftest import has_adjacent_dup, make_article, make_vocab, zipf_weights
 from oracles import (
     assemble_reference,
     dedup_reference,
@@ -58,6 +60,18 @@ def corpus_texts():
     vocab = make_vocab()
     weights = zipf_weights(len(vocab))
     return [make_article(rng, rng.randrange(100, 1001), vocab, weights) for _ in range(100)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+        lambda letters: st.lists(st.sampled_from(letters), max_size=40)
+    ),
+    st.integers(1, 6),
+)
+def test_article_guard_equals_reference(words, min_run):
+    """The generator's pruned guard answers what the naive oracle answers."""
+    assert has_adjacent_dup(words, min_run) == (find_adjacent_dup(words, min_run) is not None)
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +136,13 @@ def test_criterion_2_sequence_matcher_correctness():
 
 def test_criterion_3_round_trip_fidelity(corpus_texts):
     with criterion(3, "round-trip fidelity"):
+        # the naive input precondition runs before the timer, which times
+        # the program alone
+        for text in corpus_texts:
+            assert find_adjacent_dup(text.split(), 5) is None
         started = time.perf_counter()
         similarities = []
         for i, text in enumerate(corpus_texts):
-            assert find_adjacent_dup(text.split(), 5) is None
             article = reconstruct_text(text, f"https://n.test/{i:03d}", ShredConfig(window=7))
             sim = levenshtein_similarity(
                 preprocess(article.text).text, preprocess(text).text

@@ -123,6 +123,26 @@ def test_gzip_cut_to_one_byte_is_fatal():
         parse_bytes(b"\x1f")
 
 
+def test_gzip_lines_across_buffer_boundaries():
+    """Lines cross the 64 KiB gunzip buffer and some are longer than it."""
+    rng = random.Random(11)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    lines = []
+    for i in range(400):
+        size = 70_000 if i % 50 == 7 else rng.randrange(10, 600)
+        pre = "".join(rng.choices(letters, k=size))
+        lines.append(make_line(ngram=f"w{i}", pos=i % 101, pre=pre).encode())
+    plain = b"\n".join(lines)
+    payload = gzip.compress(plain)
+    assert len(plain) > 256 * 1024 and len(payload) > 128 * 1024
+    records, diags = parse_bytes(payload)
+    assert (records, diags) == parse_bytes(plain)
+    assert diags.records_ok == len(lines) == diags.lines_read
+    assert max(len(r.pre) for r in records) > 64 * 1024
+    with pytest.raises(ParseError):
+        parse_bytes(payload[: 64 * 1024 + 1000])
+
+
 def test_multi_member_gzip_yields_every_member():
     first = "\n".join(make_line(ngram=f"a{i}") for i in range(3)) + "\n"
     second = "\n".join(make_line(ngram=f"b{i}") for i in range(2))
@@ -180,6 +200,7 @@ def test_pos_clamped_not_rejected():
         '{"ngram": "a"}',
         "[1, 2, 3]",
         '"just a string"',
+        GOOD_LINE + " x",
     ],
 )
 def test_malformed_lines_skipped(line):
@@ -337,6 +358,16 @@ OTHER_LINES = [
     b"null",
     b"\xff\xfe{}",
     b'{"ngram": "caf\xe9"}',
+    # a line holds exactly one JSON value: text after it is malformed
+    GOOD_LINE.encode() + b" x",
+    GOOD_LINE.encode() + b" {}",
+    b"{} {}",
+    GOOD_LINE.encode() + b" " + GOOD_LINE.encode(),
+    # ASCII whitespace around the value is stripped: a CRLF line end, \x0b, \x0c
+    GOOD_LINE.encode() + b"\r",
+    b"\x0b" + GOOD_LINE.encode() + b"\x0c",
+    # a UTF-8 byte order mark is no JSON whitespace
+    b"\xef\xbb\xbf" + GOOD_LINE.encode(),
 ]
 
 
