@@ -3,7 +3,8 @@
 Three measures: Levenshtein similarity (1 - edits / combined length),
 sequence-matcher similarity (2M / TC over recursively matched contiguous
 blocks), and Jaccard token overlap, which gates which article pairs are
-treated as the same version of a text.
+treated as the same version of a text. Each contiguous block is found with C
+substring searches: quick on word text, slow on low-entropy strings.
 """
 
 from __future__ import annotations
@@ -132,57 +133,53 @@ def _longest_block(a: str, alo: int, ahi: int, b: str, blo: int, bhi: int):
     """Longest common block ``(i, j, size)`` of ``a[alo:ahi]`` and
     ``b[blo:bhi]``: earliest in ``a`` on ties, then earliest in ``b``.
 
-    Builds a suffix automaton over the ``b`` range (Blumer et al. 1985), each
-    state keeping the first end position of its strings, then walks the
-    ``a`` range through it tracking the longest suffix that occurs in ``b``.
-    Linear in the two range lengths.
-    """
-    length, link, first, trans = [0], [-1], [-1], [{}]
-    last = 0
-    for pos in range(blo, bhi):
-        char = b[pos]
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(0)
-        first.append(pos)
-        trans.append({})
-        p = last
-        while p != -1 and char not in trans[p]:
-            trans[p][char] = cur
-            p = link[p]
-        if p != -1:
-            q = trans[p][char]
-            if length[q] == length[p] + 1:
-                link[cur] = q
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                first.append(first[q])
-                trans.append(trans[q].copy())
-                while p != -1 and trans[p].get(char) == q:
-                    trans[p][char] = clone
-                    p = link[p]
-                link[q] = link[cur] = clone
-        last = cur
+    Scans start positions ``i`` of the ``a`` range upward, probing the ``b``
+    range with C substring searches (``in``, ``find``) while holding the
+    longest block found so far, ``best``. Any longer block starting in
+    ``[i, i + best // 2]`` contains ``a[i + best // 2 : i + best + 1]``, so
+    when that is absent from ``b`` all those starts are skipped at once.
+    Otherwise, when ``a[i : i + best + 1]`` occurs in ``b``, the block at
+    ``i`` is grown by galloping then bisecting on its length. ``best`` only
+    grows on a strictly longer block and a skipped start can begin no block
+    longer than ``best``, so the first ``i`` to reach the maximum is the
+    earliest; ``find`` then gives its earliest ``j``.
 
-    best_i, best_j, best = alo, blo, 0
-    state = size = 0
-    for pos in range(alo, ahi):
-        char = a[pos]
-        while state and char not in trans[state]:
-            state = link[state]
-            size = length[state]
-        state = trans[state].get(char, 0)
-        if not state:
-            size = 0
+    Cost: on word text the skip leaves few probes, mostly short ones. At
+    worst there is about one probe per start in the ``a`` range, each a
+    search of the whole ``b`` range, so about ``range_a * range_b`` steps in
+    C; under about 2,500 characters CPython's search has no linear-time
+    fallback, and one probe can cost needle length times range length. Text
+    with long repeated stretches, such as runs of one letter or one line
+    repeated, comes near that bound: there the search is many times slower
+    than a linear-time scan would be.
+    """
+    bsub = b[blo:bhi]
+    best_i, best = alo, 0
+    i = alo
+    while i + best < ahi:  # a longer block must end by ahi
+        half = best // 2
+        if a[i + half : i + best + 1] not in bsub:
+            i += half + 1
             continue
-        size += 1
-        # strict > keeps the earliest end, hence the earliest start, in a;
-        # the state's first end position gives the earliest start in b
-        if size > best:
-            best_i, best_j, best = pos - size + 1, first[state] - size + 1, size
-    return best_i, best_j, best
+        if a[i : i + best + 1] in bsub:
+            # a[i : i + good] occurs in b, a[i : i + bad] does not (or runs past ahi)
+            good, step = best + 1, 1
+            bad = good + step
+            while bad <= ahi - i and a[i : i + bad] in bsub:
+                good, step = bad, 2 * step
+                bad = good + step
+            bad = min(bad, ahi - i + 1)
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if a[i : i + mid] in bsub:
+                    good = mid
+                else:
+                    bad = mid
+            best_i, best = i, good
+        i += 1
+    if not best:
+        return alo, blo, 0
+    return best_i, blo + bsub.find(a[best_i : best_i + best]), best
 
 
 def sequence_matcher_similarity(a: str, b: str) -> tuple[float, SequenceMatchStats]:
@@ -191,11 +188,11 @@ def sequence_matcher_similarity(a: str, b: str) -> tuple[float, SequenceMatchSta
     Ratcliff-Obershelp matching (Ratcliff & Metzener 1988): take the longest
     common block (earliest in ``a`` on ties, then earliest in ``b``) and
     recurse on the text before and after it, run as an explicit stack of
-    ranges. Each block search is a suffix-automaton scan, linear in the range
-    lengths. No junk or popularity heuristics are applied, so the result is a
-    pure function of the two strings and equals the standard library's
-    ``SequenceMatcher`` with ``autojunk=False``. Both empty counts as
-    identical (ratio 1).
+    ranges. Each block search probes one range with C substring searches for
+    slices of the other (``_longest_block``, which gives the cost). No junk
+    or popularity heuristics are applied, so the result is a pure function
+    of the two strings and equals the standard library's ``SequenceMatcher``
+    with ``autojunk=False``. Both empty counts as identical (ratio 1).
     """
     if a == b:
         # the whole string is the single matching block

@@ -12,6 +12,7 @@ from ngramstitch.pipeline import reconstruct_group
 from ngramstitch.shredder import MODE_DISTINCT_FIRST, ShredConfig, shred
 from ngramstitch.similarity import (
     SequenceMatchStats,
+    _longest_block,
     format_report_table,
     jaccard_similarity,
     levenshtein_distance,
@@ -42,6 +43,15 @@ _text_pairs = st.sampled_from(_ALPHABETS).flatmap(
         st.text(alphabet=alphabet, max_size=40), st.text(alphabet=alphabet, max_size=40)
     )
 )
+
+
+@st.composite
+def _block_queries(draw):
+    """A text pair and any sub-range of each, empty ones included."""
+    a, b = draw(_text_pairs)
+    alo = draw(st.integers(0, len(a)))
+    blo = draw(st.integers(0, len(b)))
+    return a, alo, draw(st.integers(alo, len(a))), b, blo, draw(st.integers(blo, len(b)))
 
 
 class TestPreprocess:
@@ -161,6 +171,38 @@ class TestSequenceMatcher:
         assert stats.total_chars == len(a) + len(b)
         if a or b:
             assert ratio == 2.0 * stats.matching_chars / (len(a) + len(b))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_block_queries())
+    def test_longest_block_equals_difflib(self, query):
+        # the whole (i, j, size): earliest in a on ties, then earliest in b
+        a, alo, ahi, b, blo, bhi = query
+        matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+        expected = matcher.find_longest_match(alo, ahi, blo, bhi)
+        assert _longest_block(a, alo, ahi, b, blo, bhi) == tuple(expected)
+
+    def test_long_ranges_equal_difflib(self):
+        # ranges of thousands of characters, so the block search skips and
+        # gallops far past the short property strings; words of evenly
+        # spread letters keep difflib's per-letter scan to about a second
+        rng = random.Random(1988)
+        vocab = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9))) for _ in range(1000)]
+        words = rng.choices(vocab, k=680)
+        swapped = list(words)
+        for _ in range(15):
+            p = rng.randrange(len(swapped) - 1)
+            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
+        moved = words[:85] + words[340:510] + words[85:340] + words[510:]
+        text = " ".join(words)
+        pairs = [
+            (text, " ".join(swapped)),
+            (text, " ".join(moved)),
+            (text, " ".join(rng.choices(vocab, k=680))),
+            ("a" * 400 + "b" + "a" * 400, "a" * 801),  # difflib is quadratic here
+        ]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                assert sequence_matcher_similarity(x, y)[1].matching_chars == difflib_matches(x, y)
 
     def test_shredded_articles_equal_difflib(self, vocab, vocab_weights):
         # article-length reconstructions at 30% record loss plus one missed
