@@ -316,7 +316,10 @@ def read_corpus(path: str | Path) -> dict[str, str]:
                 url, text = obj["url"], obj["text"]
                 if not (isinstance(url, str) and isinstance(text, str)):
                     raise TypeError("url and text must be strings")
-            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (ValueError, RecursionError, TypeError, KeyError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and an integer literal
+                # past the interpreter's digit limit; RecursionError is JSON
+                # nested deeper than the decoder's recursion limit.
                 raise ValueError(f"{path}:{lineno}: not a valid corpus line ({exc})") from exc
             if url not in texts:
                 texts[url] = text

@@ -4,7 +4,9 @@ Three measures: Levenshtein similarity (1 - edits / combined length),
 sequence-matcher similarity (2M / TC over recursively matched contiguous
 blocks), and Jaccard token overlap, which gates which article pairs are
 treated as the same version of a text. Each contiguous block is found with C
-substring searches: quick on word text, slow on low-entropy strings.
+substring searches: quick on word text, slow on low-entropy strings. A pair
+whose two raw texts are equal scores 1.0 on all three without being
+normalized or compared.
 """
 
 from __future__ import annotations
@@ -244,13 +246,19 @@ def validate_corpus(
 ) -> SimilarityReport:
     """Score (reconstructed, reference, url) pairs and aggregate the results.
 
-    Both texts are preprocessed, then all three metrics run on the normalized
-    forms. Aggregate means are reported unfiltered and restricted to pairs
-    whose Jaccard token overlap strictly exceeds each threshold, mirroring the
-    idea that high-overlap pairs almost surely are the same article version.
+    A pair whose two texts are equal scores 1.0 on all three metrics, as
+    scoring its normalized forms would give, without being preprocessed.
+    Otherwise both texts are preprocessed, then all three metrics run on the
+    normalized forms. Aggregate means are reported unfiltered and restricted
+    to pairs whose Jaccard token overlap strictly exceeds each threshold,
+    mirroring the idea that high-overlap pairs almost surely are the same
+    article version.
     """
     rows: list[PairScores] = []
     for reconstructed, reference, url in pairs:
+        if reconstructed == reference:
+            rows.append(PairScores(url, 1.0, 1.0, 1.0))
+            continue
         norm_a = preprocess(reconstructed)
         norm_b = preprocess(reference)
         lev = levenshtein_similarity(norm_a.text, norm_b.text)

@@ -282,7 +282,14 @@ def test_validate_missing_file_exit_code(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ['{"url": 5, "text": "x"}', '{"url": "u", "text": "caf\xe9"}'], ids=["int-url", "latin-1"]
+    "line",
+    [
+        '{"url": 5, "text": "x"}',
+        '{"url": "u", "text": "caf\xe9"}',
+        "[" * 100000 + "]" * 100000,
+        '{"url": "u", "text": ' + "7" * 5000 + "}",
+    ],
+    ids=["int-url", "latin-1", "nested-past-recursion-limit", "integer-past-digit-limit"],
 )
 def test_validate_malformed_corpus_line_is_invalid_corpus(runner, tmp_path, line):
     corpus = tmp_path / "bad.ndjson"

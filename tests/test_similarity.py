@@ -278,6 +278,27 @@ class TestValidateCorpus:
             assert col.levenshtein_mean == 1.0
             assert col.sequence_matcher_mean == 1.0
 
+    def test_raw_equal_pairs_score_one_without_preprocessing(self, monkeypatch):
+        def no_preprocess(raw):
+            raise AssertionError("a raw-equal pair was preprocessed")
+
+        monkeypatch.setattr("ngramstitch.similarity.preprocess", no_preprocess)
+        texts = ["", "   ", "!!! ---", "\ufb01"]
+        report = validate_corpus([(t, t, f"u{i}") for i, t in enumerate(texts)])
+        assert report.pairs == [(f"u{i}", 1.0, 1.0, 1.0) for i in range(len(texts))]
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_raw_equal_pair_scores_as_its_normalized_forms(self, text):
+        norm = preprocess(text)
+        expected = (
+            "u",
+            levenshtein_similarity(norm.text, norm.text),
+            sequence_matcher_similarity(norm.text, norm.text)[0],
+            jaccard_similarity(norm.tokens, norm.tokens),
+        )
+        assert validate_corpus([(text, text, "u")]).pairs == [expected]
+
     def test_threshold_bucketing(self):
         shared = [f"s{i}" for i in range(13)]
         only_a = [f"a{i}" for i in range(4)]
