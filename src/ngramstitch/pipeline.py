@@ -391,8 +391,9 @@ def fetch_window(
 
     Bounds are rounded outward to 15-minute boundaries and both endpoints are
     included. The template must be an http(s) URL whose only placeholder is
-    ``{timestamp}``, expanded to YYYYMMDDHHMMSS; any other template raises
-    ValueError before the first request.
+    ``{timestamp}``, expanded to YYYYMMDDHHMMSS, and ``timeout`` (seconds per
+    request) must be positive; any other template or timeout raises
+    ValueError before ``dest`` is created or anything is requested.
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
     truncated bodies) are retried after ``FETCH_BACKOFF_S`` seconds, doubling
@@ -409,6 +410,8 @@ def fetch_window(
         raise ValueError(f"template {template!r} has a placeholder other than {{timestamp}}")
     if urlsplit(template).scheme not in ("http", "https"):
         raise ValueError(f"unknown url type in template {template!r}: it must be an http(s) URL")
+    if not timeout > 0:  # also rejects NaN
+        raise ValueError(f"timeout must be a positive number of seconds, not {timeout!r}")
     dest_dir = Path(dest)
     dest_dir.mkdir(parents=True, exist_ok=True)
 

@@ -10,6 +10,7 @@ import stat
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,11 @@ from ngramstitch.pipeline import (
     reconstruct_group,
     validate_command,
 )
-from ngramstitch.records import NgramRecord, group_by_url, parse_file, record_to_json_dict
+from ngramstitch.records import NgramRecord, ParseError, group_by_url, parse_file, record_to_json_dict
 from ngramstitch.shredder import ShredConfig, shred
 from conftest import make_article, make_vocab, zipf_weights
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def write_records(path: Path, records):
@@ -113,70 +116,91 @@ class TestReconstructGroup:
 
 
 class TestReconstructCommand:
-    def test_three_article_round_trip(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 150, vocab, vocab_weights) for _ in range(3)]
-        records_path, reference = shred_corpus(tmp_path, texts)
-        out = tmp_path / "corpus.ndjson"
-        summary = reconstruct_command(RunConfig(inputs=[records_path], output=out))
-        assert summary.articles == 3
-        corpus = read_corpus(out)
-        assert corpus == reference
-
-    def test_output_sorted_by_url(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(5)]
-        records_path, _ = shred_corpus(tmp_path, texts)
-        out = tmp_path / "corpus.ndjson"
-        reconstruct_command(RunConfig(inputs=[records_path], output=out))
-        urls = [json.loads(line)["url"] for line in out.read_text().splitlines()]
-        assert urls == sorted(urls)
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 80, vocab, vocab_weights) for _ in range(6)]
-        records_path, _ = shred_corpus(tmp_path, texts)
-        out1 = tmp_path / "one.ndjson"
-        out2 = tmp_path / "two.ndjson"
-        reconstruct_command(RunConfig(inputs=[records_path], output=out1, workers=1))
-        reconstruct_command(RunConfig(inputs=[records_path], output=out2, workers=4))
-        assert out1.read_bytes() == out2.read_bytes()
-
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.data())
     def test_split_input_files_write_the_single_file_corpus(self, seed, data):
-        # the same record lines cut in order into 1-4 files, some gzipped:
-        # a URL group may span files, and the corpus and counts must not notice.
-        # A small vocabulary makes ties and unanchored fragments common, so
+        # The run's fault contract, stated against a clean serial run over the
+        # lines of the readable files. The same record lines are cut in order
+        # into 1-4 files, some gzipped, so a URL group may span files. Each
+        # file may be cut inside its gzip stream (unreadable: a file error
+        # that gives no record, not even those before the cut) or carry a
+        # line that is not UTF-8 (malformed); one URL may raise in
+        # reconstruct_group (a group error); a pool may run the groups. A
+        # small vocabulary makes ties and unanchored fragments common, so
         # records that arrive in another order can change a group's text.
         rnd = random.Random(seed)
         vocab = make_vocab(60)
         weights = zipf_weights(len(vocab))
+        urls = [f"https://n.test/{i}" for i in range(data.draw(st.integers(0, 4)))]
         lines = []
-        for i in range(rnd.randrange(1, 5)):
+        for i, url in enumerate(urls):
             text = make_article(rnd, rnd.randrange(20, 80), vocab, weights)
             config = ShredConfig(window=rnd.randrange(3, 8), drop_rate=0.3, seed=seed + i)
-            for record in shred(text, config, url=f"https://n.test/{i}"):
+            for record in shred(text, config, url=url):
                 lines.append(json.dumps(record_to_json_dict(record)).encode() + b"\n")
         rnd.shuffle(lines)  # each group's records spread over every file
         lines.insert(data.draw(st.integers(0, len(lines))), b"{not json\n")
         cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=3)))
+        raising = data.draw(st.sampled_from([None, *urls]))
+        workers = data.draw(st.sampled_from([1, 2] if FORK else [1]))
+
+        def raises_on_one_url(url, records, config):
+            if url == raising:
+                raise RuntimeError("injected")
+            return reconstruct_group(url, records, config)
+
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            single = tmp / "all.ndjson"
-            single.write_bytes(b"".join(lines))
-            parts = []
+            parts, readable, unreadable = [], [], []
             for n, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(lines)])):
-                chunk = b"".join(lines[lo:hi])
-                if data.draw(st.booleans()):
-                    part, chunk = tmp / f"part{n}.ndjson.gz", gzip.compress(chunk)
+                chunk = lines[lo:hi]
+                fault = data.draw(st.sampled_from(["none", "cut", "not UTF-8"]))
+                if fault == "not UTF-8":
+                    chunk.insert(data.draw(st.integers(0, len(chunk))), b"caf\xe9\n")
+                body = b"".join(chunk)
+                if fault == "cut" or data.draw(st.booleans()):
+                    part, packed = tmp / f"part{n}.ndjson.gz", gzip.compress(body)
                 else:
-                    part = tmp / f"part{n}.ndjson"
-                part.write_bytes(chunk)
+                    part, packed = tmp / f"part{n}.ndjson", body
+                if fault == "cut":
+                    last = len(packed) - 1
+                    at = data.draw(st.one_of(st.sampled_from([1, 2, last]), st.integers(1, last)))
+                    packed = packed[:at]
+                    unreadable.append(part)
+                else:
+                    readable.append(body)
+                part.write_bytes(packed)
                 parts.append(part)
-            whole = reconstruct_command(RunConfig(inputs=[single], output=tmp / "one.ndjson"))
-            split = reconstruct_command(RunConfig(inputs=parts, output=tmp / "split.ndjson"))
-            assert (tmp / "split.ndjson").read_bytes() == (tmp / "one.ndjson").read_bytes()
-        assert split.diagnostics == whole.diagnostics
-        assert whole.diagnostics.lines_malformed == 1
-        assert (split.groups, split.articles, split.file_errors) == (whole.groups, whole.articles, [])
+            clean_path = tmp / "clean.ndjson"
+            clean_path.write_bytes(b"".join(readable))
+            clean_records, _ = parse_file(clean_path)
+            raising_records = [r for r in clean_records if r.url == raising]
+
+            config = RunConfig(inputs=parts, output=tmp / "split.ndjson", workers=workers)
+            with patch.object(pipeline, "reconstruct_group", raises_on_one_url):
+                if clean_records:
+                    split = reconstruct_command(config)
+                else:
+                    with pytest.raises(EmptyInputError if readable else ParseError):
+                        reconstruct_command(config)
+            assert not list(tmp.glob("*.part"))
+            if not clean_records:
+                return
+            clean = reconstruct_command(RunConfig(inputs=[clean_path], output=tmp / "clean-corpus.ndjson"))
+            corpus = (tmp / "split.ndjson").read_bytes()
+            clean_lines = (tmp / "clean-corpus.ndjson").read_bytes().splitlines(keepends=True)
+
+        assert corpus == b"".join(line for line in clean_lines if json.loads(line)["url"] != raising)
+        assert [url for url, _ in split.group_errors] == [raising] * bool(raising_records)
+        assert [path for path, _ in split.file_errors] == [str(part) for part in unreadable]
+        assert split.diagnostics == clean.diagnostics
+        articles = [json.loads(line) for line in corpus.splitlines()]
+        assert [a["url"] for a in articles] == sorted(a["url"] for a in articles)
+        records_left = split.diagnostics.records_ok - len(raising_records)
+        assert sum(a["fragments_total"] for a in articles) == records_left
+        for article in articles:
+            own = [r for r in clean_records if r.url == article["url"]]
+            assert article == reconstruct_group(article["url"], own, AssemblyConfig()).to_json_dict()
 
     def test_empty_after_filtering_raises(self, tmp_path):
         rec = NgramRecord(ngram="w", url="u", lang="en", lang_type=2, pos=0)
@@ -184,17 +208,6 @@ class TestReconstructCommand:
         write_records(path, [rec])
         with pytest.raises(EmptyInputError):
             reconstruct_command(RunConfig(inputs=[path], output=tmp_path / "o.ndjson"))
-
-    def test_gzip_input(self, tmp_path, rng, vocab, vocab_weights):
-        text = make_article(rng, 50, vocab, vocab_weights)
-        records = shred(text, ShredConfig(window=7), url="https://n.test/z")
-        raw = "\n".join(json.dumps(record_to_json_dict(r)) for r in records)
-        gz_path = tmp_path / "r.ndjson.gz"
-        gz_path.write_bytes(gzip.compress(raw.encode()))
-        out = tmp_path / "o.ndjson"
-        summary = reconstruct_command(RunConfig(inputs=[gz_path], output=out))
-        assert summary.articles == 1
-        assert read_corpus(out)["https://n.test/z"] == text
 
     def test_cut_gzip_file_logs_no_warning(self, tmp_path, rng, vocab, vocab_weights, caplog):
         # the file error is reported once, in the summary; the log has it only at INFO
@@ -209,14 +222,6 @@ class TestReconstructCommand:
         assert read_corpus(out) == reference
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert any(str(cut) in r.getMessage() for r in caplog.records)
-
-    def test_accounting_matches_parsed_records(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 70, vocab, vocab_weights) for _ in range(4)]
-        records_path, _ = shred_corpus(tmp_path, texts)
-        out = tmp_path / "o.ndjson"
-        summary = reconstruct_command(RunConfig(inputs=[records_path], output=out))
-        totals = [json.loads(line)["fragments_total"] for line in out.read_text().splitlines()]
-        assert sum(totals) == summary.diagnostics.records_ok
 
     def test_missing_input_raises_oserror(self, tmp_path):
         config = RunConfig(inputs=[tmp_path / "nope.ndjson"], output=tmp_path / "o.ndjson")
@@ -234,25 +239,7 @@ class TestReconstructCommand:
         assert summary.articles == 1
         assert list(read_corpus(out)) == ["https://n.test/it"]
 
-    def test_group_isolation(self, tmp_path, rng, vocab, vocab_weights):
-        # deleting one URL's records must not change another URL's article
-        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)]
-        both_path, _ = shred_corpus(tmp_path, texts)
-        out_both = tmp_path / "both.ndjson"
-        reconstruct_command(RunConfig(inputs=[both_path], output=out_both))
-
-        solo_dir = tmp_path / "solo"
-        solo_dir.mkdir()
-        solo_path, _ = shred_corpus(solo_dir, texts[:1])
-        out_solo = solo_dir / "solo.ndjson"
-        reconstruct_command(RunConfig(inputs=[solo_path], output=out_solo))
-
-        url = "https://n.test/000"
-        assert read_corpus(out_both)[url] == read_corpus(out_solo)[url]
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-    )
+    @pytest.mark.skipif(not FORK, reason="needs the fork start method")
     def test_forked_pool_pickles_no_record(self, tmp_path, rng, vocab, vocab_weights):
         class Unpicklable(str):
             def __reduce_ex__(self, protocol):

@@ -163,22 +163,6 @@ def test_overlong_json_line_is_malformed(bad_line):
     assert diags.lines_malformed == 1
 
 
-def test_arbitrary_bytes_never_crash():
-    rng = random.Random(7)
-    for _ in range(50):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
-        if blob[:2] == b"\x1f\x8b":
-            continue  # covered by the fatal-gzip test
-        records, diags = parse_bytes(blob)
-        assert diags.records_ok == len(records)
-        assert diags.lines_read == (
-            diags.records_ok
-            + diags.lines_malformed
-            + diags.records_type2_skipped
-            + diags.records_filtered
-        )
-
-
 def test_pos_clamped_not_rejected():
     data = "\n".join([make_line(pos=-5), make_line(pos=130), make_line(pos=100)]).encode()
     records, diags = parse_bytes(data)

