@@ -287,7 +287,7 @@ def fetch(start, end, dest, template, timeout):
             raise click.UsageError(f"{flag} is not an ISO or YYYYMMDDHHMMSS timestamp: {value!r}")
     try:
         paths = fetch_window(start_ts, end_ts, template=template, dest=dest, timeout=timeout)
-    except ValueError as exc:  # --start after --end, or a --template that is no URL
+    except ValueError as exc:  # --start after --end, a bad --template, or a --timeout not above 0
         raise click.UsageError(str(exc))
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)

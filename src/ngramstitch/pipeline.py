@@ -5,11 +5,8 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -198,6 +195,11 @@ def _reconstruct_in_pool(
     worker that dies takes the pool down with it; every group whose result
     did not arrive is reported as a group error, and the results that did
     arrive are kept."""
+    # imported here: loading multiprocessing and the process pool adds 10-15 ms to every CLI start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     chunksize = max(1, len(urls) // (workers * 4))
     results = []

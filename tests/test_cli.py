@@ -516,6 +516,11 @@ def test_fetch_over_http(runner, tmp_path, http_server):
         "20231220101500.gz",
         "20231220103000.gz",
     ]
+    # a second fetch of the same window finds every file present and requests none
+    result = _fetch(runner, http_server, dest, "2023-12-20T10:00:00Z", "2023-12-20T10:30:00Z")
+    assert result.exit_code == 0, result.output
+    assert "downloaded 0 file(s)" in result.output
+    assert len(http_server.requests) == 3
 
 
 def test_fetch_accepts_compact_file_name_timestamps(runner, tmp_path, http_server):
@@ -576,11 +581,15 @@ def test_fetch_dest_naming_a_file_is_io_error(runner, tmp_path):
     assert "I/O error" in result.output and str(dest) in result.output
 
 
-def test_cli_import_loads_no_http_library():
+def test_cli_import_loads_no_http_or_pool_library():
+    # only fetch needs the HTTP modules, and only a pooled reconstruct the pool's
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    http = "{'requests', 'urllib3', 'urllib.request', 'http.client'}"
-    code = f"import sys, ngramstitch.cli; print(sorted({http} & set(sys.modules)))"
+    lazy = (
+        "{'requests', 'urllib3', 'urllib.request', 'http.client',"
+        " 'multiprocessing', 'concurrent.futures.process'}"
+    )
+    code = f"import sys, ngramstitch.cli; print(sorted({lazy} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
