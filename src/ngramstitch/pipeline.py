@@ -9,7 +9,7 @@ import os
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from string import Formatter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -391,9 +391,10 @@ def fetch_window(
 ) -> list[Path]:
     """Download one record file per 15-minute tick in [start, end].
 
-    Bounds are rounded outward to 15-minute boundaries and both endpoints are
-    included. The template must be an http(s) URL whose only placeholder is
-    ``{timestamp}``, expanded to YYYYMMDDHHMMSS, and ``timeout`` (seconds per
+    Bounds are converted to UTC (a naive bound is taken as UTC), rounded
+    outward to 15-minute boundaries, and both endpoints are included. The
+    template must be an http(s) URL whose only placeholder is ``{timestamp}``,
+    expanded to the UTC tick as YYYYMMDDHHMMSS, and ``timeout`` (seconds per
     request) must be positive; any other template or timeout raises
     ValueError before ``dest`` is created or anything is requested.
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
@@ -405,11 +406,18 @@ def fetch_window(
     under that name is not requested again (a ``.part`` file never counts).
     Only an unwritable destination is fatal. Returns the paths this call wrote.
     """
+    start, end = (
+        moment.astimezone(timezone.utc) if moment.tzinfo else moment.replace(tzinfo=timezone.utc)
+        for moment in (start, end)
+    )
     if start > end:
         raise ValueError("fetch window start must not be after end")
     placeholders = {name for _, name, _, _ in Formatter().parse(template) if name is not None}
-    if placeholders - {"timestamp"}:
-        raise ValueError(f"template {template!r} has a placeholder other than {{timestamp}}")
+    if placeholders != {"timestamp"}:
+        raise ValueError(
+            f"template {template!r} must contain {{timestamp}}"
+            " and no placeholder other than {timestamp}"
+        )
     if urlsplit(template).scheme not in ("http", "https"):
         raise ValueError(f"unknown url type in template {template!r}: it must be an http(s) URL")
     if not timeout > 0:  # also rejects NaN

@@ -227,10 +227,6 @@ class TestAssemble:
 
 
 class TestDeduplicate:
-    def test_documented_collapse(self):
-        words = ["a", "b", "c", "d", "e", "a", "b", "c", "d", "e", "f"]
-        assert deduplicate(words, AssemblyConfig(min_dup_run=5)) == ["a", "b", "c", "d", "e", "f"]
-
     def test_short_runs_untouched(self):
         words = ["a", "b", "a", "b", "c"]
         assert deduplicate(words, AssemblyConfig(min_dup_run=5)) == words

@@ -549,6 +549,7 @@ def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_serve
                 ("http://files.test/{0}.gz", "placeholder other than {timestamp}"),
                 ("file:///d/{timestamp}.gz", "unknown url type"),
                 ("data:,{timestamp}", "unknown url type"),
+                ("/data.gz", "must contain {timestamp}"),
             ]
         ),
         *(
@@ -560,6 +561,11 @@ def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_serve
 def test_fetch_bad_template_is_usage_error(runner, tmp_path, http_server, option, value, message):
     # a bad --template or --timeout: refused before --dest is made or anything is requested
     dest = tmp_path / "downloads"
+    if value.startswith("/"):
+        # a template with no placeholder is a whole URL, and one that is not
+        # refused is requested: point it at the loopback server, so such a
+        # request shows in http_server.requests and never leaves the host
+        value = http_server.base + value
     flags = {"--template": http_server.base + "/{timestamp}.gz", option: value}
     result = runner.invoke(
         main,

@@ -47,21 +47,6 @@ def strip(words, pos, text_slashes=frozenset()):
     return strip_wraparound_artifact(Fragment(words=list(words), pos=pos), text_slashes)
 
 
-def test_low_pos_prefix_dropped():
-    result = strip(["the", "end", "of", "story", "/", "Breaking", "news", "today"], pos=10)
-    assert result.words == ["Breaking", "news", "today"]
-    assert result.pos == 10
-
-
-def test_high_pos_untouched():
-    frag = Fragment(words=["prices", "rose", "/", "sharply"], pos=40)
-    assert strip_wraparound_artifact(frag) is frag
-
-
-def test_empty_remainder_drops_fragment():
-    assert strip(["entire", "tail", "content", "/"], pos=0) is None
-
-
 def test_slash_inside_token_ignored():
     frag = Fragment(words=["wind", "hit", "120", "km/h", "today"], pos=0)
     assert strip_wraparound_artifact(frag) is frag

@@ -359,20 +359,6 @@ class TestValidateCommand:
             for url, text in mapping.items():
                 fh.write(json.dumps({"url": url, "text": text}) + "\n")
 
-    def test_round_trip_scores_one(self, tmp_path, rng, vocab, vocab_weights):
-        texts = [make_article(rng, 90, vocab, vocab_weights) for _ in range(3)]
-        records_path, reference = shred_corpus(tmp_path, texts)
-        corpus_path = tmp_path / "corpus.ndjson"
-        reconstruct_command(RunConfig(inputs=[records_path], output=corpus_path))
-        ref_path = tmp_path / "ref.ndjson"
-        self.write_corpus(ref_path, reference)
-
-        report, stats = validate_command(corpus_path, ref_path)
-        assert stats.matched == 3
-        for col in report.columns:
-            assert col.levenshtein_mean == 1.0
-            assert col.sequence_matcher_mean == 1.0
-
     def test_join_counts(self, tmp_path):
         # 5 URLs per side, 3 in common
         left = tmp_path / "l.ndjson"
@@ -476,6 +462,19 @@ class TestFetchWindow:
         assert http_server.requests == [
             f"/20231220{hhmm}00.gz" for hhmm in ("1000", "1015", "1030", "1045", "1100")
         ]
+
+    @pytest.mark.parametrize(
+        "start, end, ticks",
+        [
+            pytest.param("12:00:00+02:00", "12:15:00+02:00", ["1000", "1015"], id="+02:00"),
+            pytest.param("09:45:00+05:45", "10:00:00+05:45", ["0400", "0415"], id="+05:45"),
+            pytest.param("10:00:00", "12:15:00+02:00", ["1000", "1015"], id="naive-start"),
+        ],
+    )
+    def test_offset_bounds_name_utc_ticks(self, tmp_path, http_server, start, end, ticks):
+        bounds = [datetime.fromisoformat(f"2023-12-20T{t}") for t in (start, end)]
+        self.fetch(http_server, *bounds, tmp_path)
+        assert http_server.requests == [f"/20231220{hhmm}00.gz" for hhmm in ticks]
 
     @pytest.mark.parametrize("path", ["/{ts}.gz", "/{0}.gz", "/{}.gz", "/{timestamp.year}.gz"])
     def test_bad_template_requests_nothing(self, tmp_path, http_server, path):
