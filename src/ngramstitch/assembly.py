@@ -8,14 +8,15 @@ fragment's first m words or ends with its last m, so one index of those m-word
 keys finds every candidate and a slice compare confirms it. Fragments that
 never reach the overlap threshold are appended at the end in position order so
 no content is silently lost. A final sweep collapses adjacent duplicated runs
-left at bad junctions: it interns each m-word start once, finds candidates as
-later starts with the same key, and never revisits a start whose key has no
-later copy.
+left at bad junctions: it interns each m-word start once, keeps one index of
+each key's last start for the whole call, and after each cut tests again only
+the starts whose compares failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .fragments import Fragment
@@ -142,49 +143,72 @@ def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[
 
     With m = ``min_dup_run``, a second copy of the run starts at j = i + k
     with the same first m words, so the candidate lengths at i are k = j - i
-    for the later starts j of that m-word key, tried largest first. One loop
+    for the later starts j of that m-word key, tried largest first. Each key
+    is interned once per call, as a small int in ``ids``, kept in step with
+    ``out``: the two copies are equal, so deleting the second leaves
+    ``out[:i] + out[j:]`` and the key list ``ids[:i] + ids[j:]``. One loop
     does every pass, resting on two facts:
 
-    - Each key is interned once per call, as a small int in ``ids``, kept in
-      step with ``out``. The two copies are equal, so deleting the second
-      leaves ``out[:i] + out[i+k:]`` and the key list ``ids[:i] + ids[i+k:]``,
-      and no key is built again. (Deleting ``ids[i+k:i+2k]`` instead would
-      be wrong at the m - 1 keys that straddle the cut.)
-    - A deletion creates no key value, and for every start before the cut
-      the later copies of its key can only vanish or move closer. A start
-      whose key has no copy at least m words on is therefore dead for good,
-      and the next pass resumes at the first start of this pass that had
-      such a copy: the hit itself, or an earlier start whose compares all
-      failed. Not at the cut: it can complete a run at an earlier start, as
-      in ``a b c d c d a b c d`` with m = 2, where removing the second
-      ``c d`` leaves ``a b c d a b c d``.
+    - Whether a start has a run depends only on the words from it on, and a
+      deletion creates no key value: for every start before the cut the
+      later copies of its key can only vanish or move closer. A start whose
+      key has no copy at least m words on is therefore dead for good, and a
+      start past the cut keeps its outcome. So each pass tests again, in
+      order, only the starts whose compares all failed, then scans on from
+      where the last pass stopped. A failed start must be tested again: a
+      cut can complete a run there, as in ``a b c d c d a b c d`` with
+      m = 2, where removing the second ``c d`` leaves ``a b c d a b c d``.
+    - One index per call, ``back``, holds each key's last start counted from
+      the end of ``ids``, which a cut before that start leaves as it is.
+      Every start from the cut on has its key's last start past the cut, so
+      a cut at (i, j) moves only keys of the failed starts: by k if their
+      last start lies before i, and to their last start in ``ids[:i]`` if
+      it lay in the removed ``ids[i:j]``. Only the m - 1 keys straddling j
+      can end there, since every other key there recurs k places on.
     """
     cfg = config or AssemblyConfig()
     m = cfg.min_dup_run
     out = list(words)
     interned: dict[tuple, int] = {}
     ids = [interned.setdefault(key, len(interned)) for key in zip(*(out[s:] for s in range(m)))]
-    resume = 0
+    back = dict(zip(ids, range(len(ids), 0, -1)))
+    failed: list[int] = []  # live starts before `start` whose compares all failed
+    start = 0
     while True:
-        n = len(out)
-        # each key's last start; exact for every start from `resume` on
-        last = dict(zip(ids[resume:], range(resume, len(ids))))
-        live = None
-        for i in range(resume, n - 2 * m + 1):
+        n, size = len(out), len(ids)
+        retest, failed = failed, []
+        for i in chain(retest, range(start, n - 2 * m + 1)):
             key = ids[i]
-            if last[key] < i + m:
+            last = size - back[key]
+            if last < i + m:
                 continue  # dead: no later copy of the key at least m words on
-            if live is None:
-                live = i
-            # later copies, largest run first; the second copy must fit in `out`
-            for j in range(min(last[key], i + (n - i) // 2), i + m - 1, -1):
-                if ids[j] == key and out[i:j] == out[j : 2 * j - i]:
+            # later copies, up to where a second copy still fits in `out`
+            hi = min(last, i + (n - i) // 2) + 1
+            copies = []
+            j = i + m - 1
+            try:
+                while True:
+                    j = ids.index(key, j + 1, hi)
+                    copies.append(j)
+            except ValueError:
+                pass
+            for j in reversed(copies):  # largest run first
+                if out[i:j] == out[j : 2 * j - i]:
                     break
             else:
+                failed.append(i)
                 continue
-            del out[j : 2 * j - i]
-            del ids[i:j]
-            resume = live
             break
         else:
             return out
+        k = j - i
+        for key, e in {ids[e]: e for e in failed}.items():
+            last = size - back[key]
+            if last < i:
+                back[key] -= k
+            elif last < j:  # its last start is about to go; the next is in ids[e:i]
+                back[key] = size - k - max(s for s in range(e, i) if ids[s] == key)
+        failed += [e - k for e in retest if e >= j]  # untested, past the cut
+        start = max(start - k, i)
+        del out[j : 2 * j - i]
+        del ids[i:j]

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from ngramstitch.assembly import AssemblyConfig, assemble, deduplicate, select_seed
 from ngramstitch.fragments import Fragment, build_fragment
 from ngramstitch.shredder import ShredConfig, shred
+from conftest import has_adjacent_dup, make_article
 from oracles import assemble_reference, dedup_reference, overlap_scan
 
 
@@ -38,7 +42,9 @@ def fragment_soups(draw):
 @st.composite
 def planted_dups(draw):
     """Word lists carrying adjacent duplicated runs, some of which hold a
-    shorter duplicated run of their own."""
+    shorter duplicated run of their own, and some ending in overlapping
+    windows of their own words, the shape of ``assemble``'s flush, which
+    takes many cuts to collapse."""
     letters = st.sampled_from(draw(st.sampled_from(["ab", "abc", "abcd"])))
     words = draw(st.lists(letters, max_size=20))
     for _ in range(draw(st.integers(0, 2))):
@@ -49,6 +55,11 @@ def planted_dups(draw):
             run[cut:cut] = inner + inner
         at = draw(st.integers(0, len(words)))
         words[at:at] = run + run
+    if words and draw(st.booleans()):
+        width = draw(st.integers(2, 9))
+        first = draw(st.integers(0, len(words) - 1))
+        for at in range(first, min(len(words), first + draw(st.integers(1, 6)))):
+            words += words[at : at + width]
     return words
 
 
@@ -252,6 +263,47 @@ class TestDeduplicate:
         words = "b b c b b c a b c a".split()
         assert deduplicate(words, AssemblyConfig(min_dup_run=3)) == "b b c a".split()
         assert dedup_reference(words, 3) == "b b c a".split()
+
+    def test_key_last_starting_before_the_cut(self):
+        # removing the second "a b" at (5, 2) leaves "a a b b a a b b"; the
+        # key "a a" of the failed start 0 last starts at 4, before the cut,
+        # so it now sits 2 words nearer the end, where 0 finds its copy
+        words = "a a b b a a b a b b".split()
+        assert deduplicate(words, AssemblyConfig(min_dup_run=2)) == "a a b b".split()
+
+    def test_key_last_starting_in_the_removed_copy(self):
+        # the key "a a b" of the failed start 0 last starts at 12, straddling
+        # the end of the first "a b b a" at (9, 4); removing that copy leaves
+        # its last start at 6, 2 words before 12 - 4, and after the next cut,
+        # "b a b" at (8, 3), 0 finds the run "a a b a b a" with its copy at 6
+        words = "a a b a b a a a b a b b a a b b a b a".split()
+        assert deduplicate(words, AssemblyConfig(min_dup_run=3)) == "a a b a b a".split()
+
+    def test_start_past_a_cut_is_tested_again(self):
+        # 4 fails before the cut of "b b" at (5, 2), which leaves the run
+        # "a b b" at 4; the next pass hits at 0 first, and its cut of
+        # "a b b a" at (0, 4) moves 4, still untested, to 0, where it hits
+        words = "a b b a a b b b b a b b".split()
+        assert deduplicate(words, AssemblyConfig(min_dup_run=2)) == "a b b".split()
+
+    def test_long_flushed_drafts_stay_fast(self, vocab, vocab_weights):
+        # a 3,200-word article missing the records of one 320-word stretch:
+        # no window after the gap anchors, so the draft ends in 1,440
+        # flushed windows, about 23,000 words that dedup collapses one run
+        # per pass. Under `python -X dev` on a 2-vCPU host this takes
+        # 0.15-0.28 s, and 4.6-5.5 s with a last-start index rebuilt per pass
+        groups = []
+        for seed in (1, 2, 3):
+            text = make_article(random.Random(seed), 3200, vocab, vocab_weights)
+            records = shred(text, ShredConfig(window=7))
+            del records[1440:1760]
+            groups.append([build_fragment(r) for r in records])
+        config = AssemblyConfig()
+        started = time.perf_counter()
+        results = [deduplicate(assemble(g, config).words, config) for g in groups]
+        elapsed = time.perf_counter() - started
+        assert not any(has_adjacent_dup(words, config.min_dup_run) for words in results)
+        assert elapsed < 1.4, f"three long drafts took {elapsed:.2f}s"
 
     @settings(max_examples=300, deadline=None)
     @given(planted_dups(), st.integers(2, 6))
