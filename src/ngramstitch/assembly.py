@@ -193,7 +193,8 @@ def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[
             except ValueError:
                 pass
             for j in reversed(copies):  # largest run first
-                if out[i:j] == out[j : 2 * j - i]:
+                # the copies' last keys first: a cheap test that rejects most failing compares
+                if ids[j - m] == ids[2 * j - i - m] and out[i:j] == out[j : 2 * j - i]:
                     break
             else:
                 failed.append(i)

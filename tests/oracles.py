@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import gzip
 import json
+import re
+import unicodedata
 from datetime import datetime, timezone
 
 
@@ -30,6 +32,14 @@ def levenshtein_dp(a: str, b: str) -> int:
                 above[j - 1] + (char_a != b[j - 1]),
             )
     return table[n][m]
+
+
+def preprocess_reference(raw: str) -> tuple[str, list[str]]:
+    """NFKC fold, lowercase, each run of non-word characters or underscores
+    replaced by one space, ends stripped; the text and its whitespace split."""
+    text = unicodedata.normalize("NFKC", raw).lower()
+    text = re.sub(r"[\W_]+", " ", text).strip()
+    return text, text.split()
 
 
 def ratcliff_obershelp_matches(a: str, b: str) -> int:

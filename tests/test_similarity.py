@@ -22,7 +22,7 @@ from ngramstitch.similarity import (
     validate_corpus,
 )
 from conftest import make_article
-from oracles import levenshtein_dp
+from oracles import levenshtein_dp, preprocess_reference
 
 
 def difflib_matches(a: str, b: str) -> int:
@@ -38,6 +38,11 @@ _text_pairs = st.sampled_from(_ALPHABETS).flatmap(
         st.text(alphabet=alphabet, max_size=40), st.text(alphabet=alphabet, max_size=40)
     )
 )
+# a pair wrapped in a shared prefix and suffix of its own alphabet, often
+# empty, so that the common ends are long and can overlap when trimmed
+_wrapped_pairs = st.sampled_from(_ALPHABETS).flatmap(
+    lambda alphabet: st.tuples(*(st.text(alphabet=alphabet, max_size=n) for n in (20, 40, 40, 20)))
+).map(lambda parts: (parts[0] + parts[1] + parts[3], parts[0] + parts[2] + parts[3]))
 
 
 @st.composite
@@ -75,8 +80,9 @@ class TestPreprocess:
     # any text, and text made of separators str.split() does and does not split on
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.text(), st.text("a_-. \t\n\x1c\x1f\x85\xa0\u1680\u2028\u3000\ufeff")))
-    def test_property_text_is_the_tokens_joined_by_single_spaces(self, raw):
+    def test_property_equals_reference_and_text_is_the_tokens_joined(self, raw):
         norm = preprocess(raw)
+        assert norm == preprocess_reference(raw)
         assert norm.text == " ".join(norm.tokens)
 
 
@@ -105,8 +111,15 @@ class TestLevenshtein:
         assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
         assert levenshtein_distance(b, a) == levenshtein_dp(a, b)
 
+    def test_common_ends_that_overlap(self):
+        # a suffix search not bounded by the prefix would count shared
+        # characters twice
+        assert levenshtein_distance("abcabc", "abc") == 3
+        assert levenshtein_distance("aaa", "aaaa") == 1
+        assert levenshtein_distance("ab", "aab") == 1
+
     @settings(max_examples=300, deadline=None)
-    @given(_text_pairs)
+    @given(_wrapped_pairs)
     def test_property_equals_dp_oracle(self, pair):
         a, b = pair
         assert levenshtein_distance(a, b) == levenshtein_dp(a, b)
@@ -268,6 +281,19 @@ class TestValidateCorpus:
         assert report.pairs[0].jaccard == pytest.approx(0.6)
         counts = {c.label: c.pair_count for c in report.columns}
         assert counts[">60%"] == 0 and counts["No Filter"] == 1
+
+    def test_means_add_left_to_right_on_every_python(self):
+        # sum() compensates its rounding since Python 3.12, which would make
+        # the report's means, and its bytes, depend on the interpreter
+        report = validate_corpus([("abc", "abd", f"u{i}") for i in range(10)])
+        row, column = report.pairs[0], report.columns[0]
+        for score, mean in ((row.levenshtein_similarity, column.levenshtein_mean),
+                            (row.sequence_matcher_similarity, column.sequence_matcher_mean)):
+            total = 0.0
+            for _ in range(10):
+                total += score
+            assert total != math.fsum([score] * 10)  # the two ways of adding differ here
+            assert mean == total / 10
 
     def test_empty_pair_list(self):
         report = validate_corpus([])
