@@ -5,12 +5,16 @@ each round, the unplaced fragment with the largest word overlap against either
 end of the draft, as long as the fragment's position decile is close enough to
 that end. Any overlap of at least ``min_overlap`` (m) words starts with the
 fragment's first m words or ends with its last m, so one index of those m-word
-keys finds every candidate and a slice compare confirms it. Fragments that
-never reach the overlap threshold are appended at the end in position order so
-no content is silently lost. A final sweep collapses adjacent duplicated runs
-left at bad junctions: it interns each m-word start once, keeps one index of
-each key's last start for the whole call, and after each cut tests again only
-the starts whose compares failed.
+keys finds every candidate and a slice compare confirms it. Each end keeps
+its best candidate between rounds and is searched again only when a fragment
+was merged onto it, when the fragment it held was merged onto the other end,
+or when the draft was shorter than the longest fragment at its last search
+and has grown since; a fragment fitting both ends equally well is appended.
+Fragments that never reach the overlap threshold are appended at the end in
+position order so no content is silently lost. A final sweep collapses
+adjacent duplicated runs left at bad junctions: it interns each m-word start
+once, keeps one index of each key's last start for the whole call, and after
+each cut tests again only the starts whose compares failed.
 """
 
 from __future__ import annotations
@@ -62,24 +66,27 @@ def select_seed(fragments: list[Fragment]) -> Fragment:
     return min(fragments, key=lambda f: (f.pos, -len(f.words)))
 
 
-def _index(keys) -> dict[tuple, list[int]]:
-    """Map each key to the ordinals at which it occurs, in increasing order."""
-    index: dict[tuple, list[int]] = {}
-    for ordinal, key in enumerate(keys):
-        index.setdefault(key, []).append(ordinal)
-    return index
-
-
 def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) -> ArticleDraft:
     """Reconstruct an article draft from one URL group's fragments.
 
-    Greedy loop: every round scores all unplaced fragments against both draft
-    ends and merges the one with the globally largest overlap at or above
-    ``min_overlap`` (ties broken by lower pos, then list order); the
-    overlapping words are written once. When no fragment qualifies, the rest
-    are flushed onto the end in (pos, list order) and counted as
-    unanchored. Each fragment is placed exactly once, so the result is a pure
-    function of the fragment list and config.
+    Greedy loop: every round merges the unplaced fragment with the largest
+    overlap at or above ``min_overlap`` against either draft end, ties broken
+    by lower pos, then list order, and a fragment fitting both ends equally
+    well is appended; the overlapping words are written once. When no
+    fragment qualifies, the rest are flushed onto the end in (pos, list
+    order) and counted as unanchored. Each fragment is placed exactly once,
+    so the result is a pure function of the fragment list and config.
+
+    Each end keeps its best candidate, as (-k, pos, index) or None, between
+    rounds. Between an end's searches its words and pos stay as they were and
+    its candidates can only be placed elsewhere, so its best stays best while
+    unplaced, and the end is searched again only when:
+
+    - a fragment was merged onto it;
+    - the fragment it holds was just merged onto the other end;
+    - the draft was shorter than the longest fragment at its last search and
+      has grown since: an overlap longer than the old draft is new, so only
+      those lengths are searched, and the held candidate stands if none fits.
     """
     cfg = config or AssemblyConfig()
     seed = select_seed(fragments)
@@ -87,49 +94,77 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
     head_pos = tail_pos = seed.pos
     items = [f for f in fragments if f is not seed]
 
-    m = cfg.min_overlap
-    heads = _index(tuple(f.words[:m]) for f in items)
-    tails = _index(tuple(f.words[-m:]) for f in items)
-    max_k = max((len(f.words) for f in items), default=0)
+    m, window = cfg.min_overlap, cfg.pos_window
+    heads: dict[tuple, list[int]] = {}
+    tails: dict[tuple, list[int]] = {}
+    words_of: list[list[str]] = []
+    pos: list[int] = []
+    max_k = 0
+    for idx, frag in enumerate(items):
+        words = frag.words
+        heads.setdefault(tuple(words[:m]), []).append(idx)
+        tails.setdefault(tuple(words[-m:]), []).append(idx)
+        words_of.append(words)
+        pos.append(frag.pos)
+        if len(words) > max_k:
+            max_k = len(words)
     active = set(range(len(items)))
 
+    tail = head = None  # each end's best candidate (-k, pos, index), or None
+    tail_n = head_n = -1  # the draft's length at each end's last search; -1 once stale
     while active:
         n = len(dw)
-        for k in range(min(max_k, n), m - 1, -1):
-            candidates: list[tuple[int, int, str]] = []
-            # append: the fragment's first k words are the draft's last k
-            for idx in heads.get(tuple(dw[n - k : n - k + m]), ()):
-                frag = items[idx]
-                if idx in active and abs(frag.pos - tail_pos) <= cfg.pos_window and (
-                    frag.words[:k] == dw[n - k :]
-                ):
-                    candidates.append((frag.pos, idx, "append"))
-            # prepend: the fragment's last k words are the draft's first k
-            for idx in tails.get(tuple(dw[k - m : k]), ()):
-                frag = items[idx]
-                if idx in active and abs(frag.pos - head_pos) <= cfg.pos_window and (
-                    frag.words[-k:] == dw[:k]
-                ):
-                    candidates.append((frag.pos, idx, "prepend"))
-            if candidates:
-                break
+        top = min(max_k, n)
+        if tail_n < top:  # append: the fragment's first k words are the draft's last k
+            for k in range(top, max(m, tail_n + 1) - 1, -1):
+                found = None
+                for idx in heads.get(tuple(dw[n - k : n - k + m]), ()):
+                    p = pos[idx]
+                    if (idx in active and -window <= p - tail_pos <= window
+                            and words_of[idx][:k] == dw[n - k :]
+                            and (found is None or p < found[1])):
+                        found = (-k, p, idx)  # the index lists ascend, so ties keep the first
+                if found is not None:
+                    tail = found
+                    break
+            tail_n = n
+        if head_n < top:  # prepend: the fragment's last k words are the draft's first k
+            for k in range(top, max(m, head_n + 1) - 1, -1):
+                found = None
+                for idx in tails.get(tuple(dw[k - m : k]), ()):
+                    p = pos[idx]
+                    if (idx in active and -window <= p - head_pos <= window
+                            and words_of[idx][-k:] == dw[:k]
+                            and (found is None or p < found[1])):
+                        found = (-k, p, idx)
+                if found is not None:
+                    head = found
+                    break
+            head_n = n
+
+        if tail is not None and (head is None or tail <= head):  # a full tie appends
+            neg_k, p, idx = tail
+            dw += words_of[idx][-neg_k:]
+            if p > tail_pos:
+                tail_pos = p
+            tail, tail_n = None, -1
+            if head is not None and head[2] == idx:
+                head, head_n = None, -1
+        elif head is not None:
+            neg_k, p, idx = head
+            dw[:0] = words_of[idx][:neg_k]
+            if p < head_pos:
+                head_pos = p
+            head, head_n = None, -1
+            if tail is not None and tail[2] == idx:
+                tail, tail_n = None, -1
         else:
             break  # no fragment reaches min_overlap at either end
-
-        # "append" < "prepend", so a fragment fitting both ends at this k appends
-        _, idx, mode = min(candidates)
-        frag = items[idx]
         active.discard(idx)
-        if mode == "append":
-            dw.extend(frag.words[k:])
-            tail_pos = max(tail_pos, frag.pos)
-        else:
-            dw[:0] = frag.words[: len(frag.words) - k]
-            head_pos = min(head_pos, frag.pos)
 
     # flush whatever never anchored, in position order, so nothing is dropped
-    for i in sorted(active, key=lambda i: (items[i].pos, i)):
-        dw.extend(items[i].words)
+    for i in sorted(active, key=lambda i: (pos[i], i)):
+        dw.extend(words_of[i])
     return ArticleDraft(dw, len(fragments), len(active))
 
 

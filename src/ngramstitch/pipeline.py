@@ -3,6 +3,7 @@ parallel, write article corpora, and score them against references."""
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -246,6 +247,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     read before the break. Raises ParseError when every input file is
     unreadable, EmptyInputError when nothing survives filtering, and OSError
     for a missing input or an unwritable output path.
+
+    The parsed records live until the run ends, so once they are grouped
+    they are frozen out of the cyclic garbage collector (``gc.freeze``) until
+    the corpus is written or the command raises: no later collection, here
+    or in a forked worker, walks them again. ``gc.unfreeze`` on the way out
+    also releases objects that a caller froze earlier.
     """
     started = time.perf_counter()
     records: list[NgramRecord] = []
@@ -275,28 +282,32 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
         raise EmptyInputError("\n".join(lines))
 
     groups = group_by_url(records)
-    urls = sorted(groups)  # orders the tasks, their results and the corpus lines
-    workers = min(config.workers, len(urls))
-    if workers > 1:
-        results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
-    else:
-        results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
-
-    summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
-    articles: list[ReconstructedArticle] = []
-    for url, (article, error) in zip(urls, results, strict=True):
-        if error is not None:
-            logger.info("skipping group %s: %s", url, error)
-            summary.group_errors.append((url, error))
-        elif article is None:
-            logger.info("skipping group %s: no usable fragments", url)
+    gc.freeze()
+    try:
+        urls = sorted(groups)  # orders the tasks, their results and the corpus lines
+        workers = min(config.workers, len(urls))
+        if workers > 1:
+            results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
         else:
-            articles.append(article)
+            results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
 
-    with open_replacing(config.output) as fh:
-        for article in articles:
-            fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
-            fh.write("\n")
+        summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
+        articles: list[ReconstructedArticle] = []
+        for url, (article, error) in zip(urls, results, strict=True):
+            if error is not None:
+                logger.info("skipping group %s: %s", url, error)
+                summary.group_errors.append((url, error))
+            elif article is None:
+                logger.info("skipping group %s: no usable fragments", url)
+            else:
+                articles.append(article)
+
+        with open_replacing(config.output) as fh:
+            for article in articles:
+                fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
+                fh.write("\n")
+    finally:
+        gc.unfreeze()
 
     summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started

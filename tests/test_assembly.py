@@ -89,7 +89,7 @@ class TestSelectSeed:
 
 
 class TestMergeContract:
-    """Single merges of one fragment onto a seed, checked through ``assemble``."""
+    """Merges onto a seed, and the rules that choose them, checked through ``assemble``."""
 
     def test_append_two_word_overlap(self):
         seed = frag(["the", "quick", "brown", "fox"], 10)
@@ -126,6 +126,51 @@ class TestMergeContract:
         draft = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=10))
         assert draft.words == ["a", "b", "a", "x"]
         assert draft.fragments_unanchored == 0
+
+    # assemble keeps each end's best candidate between rounds; each of the next
+    # three tests needs one of the rules by which an end is searched again, at
+    # the head and at the tail
+
+    def test_end_searched_again_after_a_merge_onto_it(self):
+        config = AssemblyConfig(min_overlap=1, pos_window=100)
+        # "c c d" is prepended; only a new search of the head finds that "c"
+        # now overlaps it, instead of flushing "c" onto the tail
+        head = assemble([frag(["c"], 75), frag(["d", "c", "d"], 5), frag(["c", "c", "d"], 65)],
+                        config)
+        assert (head.words, head.fragments_unanchored) == (["c", "c", "d", "c", "d"], 0)
+        # the same at the tail: "d c c" is appended, and then "c" overlaps it
+        tail = assemble([frag(["c"], 75), frag(["d", "c", "d"], 5), frag(["d", "c", "c"], 65)],
+                        config)
+        assert (tail.words, tail.fragments_unanchored) == (["d", "c", "d", "c", "c"], 0)
+
+    def test_end_searched_again_when_its_fragment_is_taken_at_the_other(self):
+        # "b a" fits both ends with k = 1 and is appended; the head held it, so
+        # the head is searched again and finds nothing: "b b" is 15 from the head
+        fragments = [frag(["b", "b"], 85), frag(["a", "a", "a", "b"], 70), frag(["b", "a"], 80)]
+        head = assemble(fragments, AssemblyConfig(min_overlap=1, pos_window=10))
+        assert (head.words, head.fragments_unanchored) == (["a", "a", "a", "b", "a", "b", "b"], 1)
+        # "b a b" fits the tail with k = 1 and the head with k = 2, so it is
+        # prepended; the tail held it and must not append it a second time
+        # in the round before "z" is flushed
+        tail = assemble([frag(["a", "b"], 0), frag(["b", "a", "b"], 10), frag(["z"], 50)],
+                        AssemblyConfig(min_overlap=1, pos_window=100))
+        assert (tail.words, tail.fragments_unanchored) == (["b", "a", "b", "z"], 1)
+
+    def test_short_draft_grown_at_the_other_end_is_searched_again(self):
+        config = AssemblyConfig(min_overlap=1, pos_window=100)
+        # the head of the one-word seed "b" has no candidate; once "b a b c b c"
+        # is appended, "a b a" overlaps the head with k = 2, longer than the
+        # draft was, and beats the k = 1 append of "c a"
+        head = assemble([
+            frag(["b"], 15), frag(["a", "b", "a"], 40), frag(["b", "a", "b", "c", "b", "c"], 25),
+            frag(["a", "a"], 70), frag(["c", "a"], 100),
+        ], config)
+        assert (head.words, head.fragments_unanchored) == (
+            ["a", "a", "b", "a", "b", "c", "b", "c", "a"], 0)
+        # the same at the tail: once "c b" is prepended to the seed "b", the
+        # first two words of "c b d" overlap the tail
+        tail = assemble([frag(["b"], 0), frag(["c", "b"], 5), frag(["c", "b", "d"], 5)], config)
+        assert (tail.words, tail.fragments_unanchored) == (["c", "b", "d"], 0)
 
     def test_matches_brute_force_scan(self, rng):
         for _ in range(500):

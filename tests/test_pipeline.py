@@ -1,3 +1,4 @@
+import gc
 import gzip
 import inspect
 import io
@@ -327,6 +328,34 @@ class TestReconstructCommand:
         assert len(calls) == 2
         assert out.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
         assert [p.name for p in out.parent.iterdir()] == ["corpus.ndjson"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_records_frozen_only_while_the_command_runs(
+        self, tmp_path, rng, vocab, vocab_weights, monkeypatch, workers, fails
+    ):
+        texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(3)]
+        records_path, _ = shred_corpus(tmp_path, texts)
+        out = tmp_path / "corpus.ndjson"
+        if fails:
+            out.mkdir()  # the final rename onto a directory raises
+        frozen_while_writing = []
+        real_open_replacing = pipeline.open_replacing
+
+        def recording_open_replacing(path, mode="w"):
+            frozen_while_writing.append(gc.get_freeze_count())
+            return real_open_replacing(path, mode)
+
+        monkeypatch.setattr(pipeline, "open_replacing", recording_open_replacing)
+        before = gc.get_freeze_count()
+        if fails:
+            with pytest.raises(OSError):
+                reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
+        else:
+            reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
+            assert len(read_corpus(out)) == len(texts)
+        assert gc.get_freeze_count() == before
+        assert len(frozen_while_writing) == 1 and frozen_while_writing[0] > before
 
 
 class TestRunConfig:
