@@ -7,10 +7,14 @@ import gc
 import json
 import logging
 import os
+import tempfile
 import time
+from bisect import bisect_left
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 from string import Formatter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -167,56 +171,129 @@ def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: Asse
         return None, f"{type(exc).__name__}: {exc}"
 
 
-_GROUPS: dict[str, list[NgramRecord]] = {}
-_CONFIG: AssemblyConfig | None = None
+def _run_share(groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str) -> None:
+    """A pool child's work: reconstruct ``groups`` and pickle their
+    (article, error) pairs, in the order of ``groups``, to ``path``."""
+    import pickle
+
+    gc.disable()  # as in a serial run; see reconstruct_command
+    results = [_reconstruct_isolated(url, records, assembly) for url, records in groups.items()]
+    with open(path, "wb") as fh:
+        pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
 
 
-def _init_worker(groups: dict[str, list[NgramRecord]], config: AssemblyConfig) -> None:
-    """Worker-pool initializer: keep the run's groups and assembly settings
-    in this worker for every task it runs."""
-    global _GROUPS, _CONFIG
-    _GROUPS, _CONFIG = groups, config
+class _ForkedChild:
+    """The part of ``multiprocessing.Process`` the pool uses, for a child
+    started with a bare ``os.fork()``: it inherits the parent's memory, so
+    its arguments are never pickled, and it leaves through ``os._exit``."""
+
+    def __init__(self, target, args):
+        self._target, self._args = target, args
+        self.pid = self.exitcode = None
+
+    def start(self) -> None:
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                self._target(*self._args)
+            except BaseException:  # the child must not return into the caller's code
+                os._exit(1)
+            os._exit(0)
+
+    def join(self) -> None:
+        _, status = os.waitpid(self.pid, 0)
+        self.exitcode = os.waitstatus_to_exitcode(status)
+
+    def kill(self) -> None:
+        import signal
+
+        os.kill(self.pid, signal.SIGKILL)
 
 
-def _group_task(url: str):
-    """Worker-pool entry: reconstruct one of the groups ``_init_worker`` kept."""
-    return _reconstruct_isolated(url, _GROUPS[url], _CONFIG)
+def _shares(urls: list[str], groups: dict[str, list[NgramRecord]], count: int) -> list[tuple[int, int]]:
+    """``urls`` cut into ``count`` consecutive non-empty runs, as (lo, hi)
+    index ranges, holding about the same number of records each."""
+    ends = list(accumulate(len(groups[url]) for url in urls))
+    cuts = [0]
+    for k in range(1, count):
+        cut = bisect_left(ends, ends[-1] * k / count) + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(urls) - count + k))
+    cuts.append(len(urls))
+    return list(zip(cuts, cuts[1:]))
 
 
 def _reconstruct_in_pool(
     urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, workers: int
 ) -> list:
-    """Reconstruct the groups of ``urls`` in a pool of ``workers`` processes;
-    each task is one URL, and the results come back in the order of ``urls``.
+    """Reconstruct the groups of ``urls`` in ``workers`` child processes and
+    return their (article, error) pairs in the order of ``urls``.
 
-    Workers are forked wherever the platform offers fork, so they inherit
-    the groups from this process's memory and no record is pickled; the
-    pool forks them before it starts its own threads. Elsewhere each worker
-    receives one pickled copy of the groups through the initializer. A
-    worker that dies takes the pool down with it; every group whose result
-    did not arrive is reported as a group error, and the results that did
-    arrive are kept."""
-    # imported here: loading multiprocessing and the process pool adds 10-15 ms to every CLI start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    The URLs are cut into ``workers`` consecutive shares of about equal
+    record counts, and each share runs in a child of its own, which pickles
+    its results to its own file in a temporary directory. The parent reads
+    that file only once the child has exited with status 0. A child that
+    dies has its share split in half, and each half runs in a fresh child,
+    down to a single URL, which is reported as a ``worker died`` group
+    error. So a dying group costs only itself and O(log share) extra
+    children, and no group is ever run in the parent.
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    chunksize = max(1, len(urls) // (workers * 4))
-    results = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=_init_worker,
-            initargs=(groups, assembly),
-        ) as pool:
-            for result in pool.map(_group_task, urls, chunksize=chunksize):
-                results.append(result)
-    except BrokenProcessPool as exc:
-        # pool.map yields in the order of urls, so the unfinished groups are the tail
-        results.extend([(None, f"worker died: {exc}")] * (len(urls) - len(results)))
+    Where ``os`` offers ``fork``, each child is forked and inherits the
+    groups from this process's memory: no record is pickled, and neither
+    ``multiprocessing`` nor ``concurrent.futures`` is imported. Elsewhere
+    each child is started by ``multiprocessing``'s spawn method and receives
+    a pickled copy of its own share's groups only."""
+    import pickle
+
+    if hasattr(os, "fork"):
+        new_child = _ForkedChild
+    else:
+        import multiprocessing  # loading it adds 10-15 ms to every CLI start
+
+        new_child = multiprocessing.get_context("spawn").Process
+
+    results: list = [None] * len(urls)
+    pending = deque(_shares(urls, groups, workers))
+    running: deque = deque()
+    with tempfile.TemporaryDirectory(prefix="ngramstitch-") as tmp:
+        try:
+            while pending or running:
+                while pending and len(running) < workers:
+                    lo, hi = pending.popleft()
+                    path = os.path.join(tmp, f"{lo}-{hi}.pickle")
+                    share = {url: groups[url] for url in urls[lo:hi]}
+                    child = new_child(target=_run_share, args=(share, assembly, path))
+                    child.start()
+                    running.append((lo, hi, path, child))
+                lo, hi, path, child = running[0]
+                child.join()
+                running.popleft()
+                if child.exitcode == 0:
+                    with open(path, "rb") as fh:
+                        results[lo:hi] = pickle.load(fh)
+                elif hi - lo == 1:
+                    results[lo] = (None, f"worker died: exit code {child.exitcode}")
+                else:
+                    mid = (lo + hi) // 2
+                    pending += ((lo, mid), (mid, hi))
+        finally:
+            for *_, child in running:
+                child.kill()
+                child.join()
     return results
+
+
+@contextmanager
+def _collector_off() -> Iterator[None]:
+    """Skip cyclic garbage collection in the block, then restore the
+    caller's setting: the records, word lists and drafts built there hold
+    no cycles, so a collection would only walk them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def expand_inputs(inputs: Iterable[str | Path]) -> list[Path]:
@@ -240,18 +317,24 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     Output is NDJSON, one article per line, sorted by URL so the file bytes
     are identical for any worker count. It is written through
     :func:`open_replacing`, so a failed write leaves any previous corpus
-    intact. A group that raises, or whose result had not arrived when a
-    worker process died, is counted in ``groups_skipped`` and listed in
-    ``group_errors``. An unreadable file (ParseError, say a truncated gzip)
-    is listed in ``file_errors`` and contributes no records, not even those
+    intact. A group that raises, or that kills the worker process running
+    it (see :func:`_reconstruct_in_pool`), is counted in ``groups_skipped``
+    and listed in ``group_errors``; every other group is written as a serial
+    run writes it. An unreadable file (ParseError, say a truncated gzip) is
+    listed in ``file_errors`` and contributes no records, not even those
     read before the break. Raises ParseError when every input file is
     unreadable, EmptyInputError when nothing survives filtering, and OSError
     for a missing input or an unwritable output path.
 
-    The parsed records live until the run ends, so once they are grouped
-    they are frozen out of the cyclic garbage collector (``gc.freeze``) until
-    the corpus is written or the command raises: no later collection, here
-    or in a forked worker, walks them again. ``gc.unfreeze`` on the way out
+    The records, word lists and drafts hold no reference cycles, so cyclic
+    garbage collection is off while the inputs are parsed and grouped, and
+    while a serial run reconstructs the groups; each pool worker turns it
+    off too. The caller's setting is restored after each of these steps,
+    so the collector runs while the parent waits for its workers and writes
+    the corpus. The parsed records live until the run ends, so once they are
+    grouped they are frozen out of the collector (``gc.freeze``) until the
+    corpus is written or the command raises: no later collection, here or
+    in a forked worker, walks them again. ``gc.unfreeze`` on the way out
     also releases objects that a caller froze earlier.
     """
     started = time.perf_counter()
@@ -259,37 +342,39 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     diagnostics = ParseDiagnostics()
     file_errors: list[tuple[str, str]] = []
     paths = expand_inputs(config.inputs)
-    for path in paths:
-        try:
-            file_records, file_diags = parse_file(
-                path,
-                langs=config.langs,
-                url_include=config.url_include,
-                url_exclude=config.url_exclude,
-            )
-        except ParseError as exc:
-            logger.info("skipping file %s: %s", path, exc)
-            file_errors.append((str(path), str(exc)))
-            continue
-        records.extend(file_records)
-        diagnostics = diagnostics + file_diags
+    with _collector_off():
+        for path in paths:
+            try:
+                file_records, file_diags = parse_file(
+                    path,
+                    langs=config.langs,
+                    url_include=config.url_include,
+                    url_exclude=config.url_exclude,
+                )
+            except ParseError as exc:
+                logger.info("skipping file %s: %s", path, exc)
+                file_errors.append((str(path), str(exc)))
+                continue
+            records.extend(file_records)
+            diagnostics = diagnostics + file_diags
 
-    if file_errors and len(file_errors) == len(paths):
-        raise ParseError("; ".join(f"{path}: {error}" for path, error in file_errors))
-    if not records:
-        lines = ["no records left after parsing and filtering"]
-        lines += [f"file error: {path}: {error}" for path, error in file_errors]
-        raise EmptyInputError("\n".join(lines))
+        if file_errors and len(file_errors) == len(paths):
+            raise ParseError("; ".join(f"{path}: {error}" for path, error in file_errors))
+        if not records:
+            lines = ["no records left after parsing and filtering"]
+            lines += [f"file error: {path}: {error}" for path, error in file_errors]
+            raise EmptyInputError("\n".join(lines))
 
-    groups = group_by_url(records)
-    gc.freeze()
+        groups = group_by_url(records)
+        gc.freeze()  # before the collector is back on, so no collection walks the records
     try:
-        urls = sorted(groups)  # orders the tasks, their results and the corpus lines
+        urls = sorted(groups)  # orders the shares, their results and the corpus lines
         workers = min(config.workers, len(urls))
         if workers > 1:
             results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
         else:
-            results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
+            with _collector_off():
+                results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
 
         summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
         articles: list[ReconstructedArticle] = []

@@ -587,20 +587,39 @@ def test_fetch_dest_naming_a_file_is_io_error(runner, tmp_path):
     assert "I/O error" in result.output and str(dest) in result.output
 
 
-def test_cli_import_loads_no_http_or_pool_library():
-    # only fetch needs the HTTP modules, and only a pooled reconstruct the pool's
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cli_import_loads_no_http_or_pool_library():
+    # only fetch needs the HTTP modules, and only a pooled reconstruct the pool's
     lazy = (
         "{'requests', 'urllib3', 'urllib.request', 'http.client',"
         " 'multiprocessing', 'concurrent.futures.process'}"
     )
-    code = f"import sys, ngramstitch.cli; print(sorted({lazy} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    result = run_python(f"import sys, ngramstitch.cli; print(sorted({lazy} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork the pool starts its workers by spawn")
+def test_forked_reconstruct_loads_no_pool_library(runner, tmp_path, rng, vocab, vocab_weights):
+    texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(4)]
+    records, corpus = tmp_path / "records.ndjson", tmp_path / "corpus.ndjson"
+    result = runner.invoke(main, ["shred", *map(str, write_sources(tmp_path, texts)), "-o", str(records)])
+    assert result.exit_code == 0, result.output
+    args = ["reconstruct", str(records), "-o", str(corpus), "--workers", "2"]
+    result = run_python(
+        "import sys, ngramstitch.cli\n"
+        f"ngramstitch.cli.main({args!r}, standalone_mode=False)\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert len(read_corpus(corpus)) == len(texts)
 
 
 def test_fetch_start_after_end_is_usage_error(runner, tmp_path):

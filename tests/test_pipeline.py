@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import multiprocessing
 import os
 import random
@@ -35,7 +36,7 @@ from ngramstitch.records import NgramRecord, ParseError, group_by_url, parse_fil
 from ngramstitch.shredder import ShredConfig, shred
 from conftest import make_article, make_vocab, zipf_weights
 
-FORK = "fork" in multiprocessing.get_all_start_methods()
+FORK = hasattr(os, "fork")
 
 
 def write_records(path: Path, records):
@@ -126,9 +127,11 @@ class TestReconstructCommand:
         # file may be cut inside its gzip stream (unreadable: a file error
         # that gives no record, not even those before the cut) or carry a
         # line that is not UTF-8 (malformed); one URL may raise in
-        # reconstruct_group (a group error); a pool may run the groups. A
-        # small vocabulary makes ties and unanchored fragments common, so
-        # records that arrive in another order can change a group's text.
+        # reconstruct_group (a group error); a pool may run the groups, and
+        # then, now and then, one URL kills the worker running it (a group
+        # error too, and only its own). A small vocabulary makes ties and
+        # unanchored fragments common, so records that arrive in another
+        # order can change a group's text.
         rnd = random.Random(seed)
         vocab = make_vocab(60)
         weights = zipf_weights(len(vocab))
@@ -145,7 +148,11 @@ class TestReconstructCommand:
         raising = data.draw(st.sampled_from([None, *urls]))
         workers = data.draw(st.sampled_from([1, 2] if FORK else [1]))
 
-        def raises_on_one_url(url, records, config):
+        dying = None
+
+        def fails_on_one_or_two_urls(url, records, config):
+            if url == dying:
+                os._exit(1)
             if url == raising:
                 raise RuntimeError("injected")
             return reconstruct_group(url, records, config)
@@ -175,10 +182,14 @@ class TestReconstructCommand:
             clean_path = tmp / "clean.ndjson"
             clean_path.write_bytes(b"".join(readable))
             clean_records, _ = parse_file(clean_path)
-            raising_records = [r for r in clean_records if r.url == raising]
+            groups = sorted({r.url for r in clean_records})
+            # only where the pool runs, as a forked worker: a serial run would die with it
+            if workers == 2 and len(groups) > 1 and data.draw(st.integers(0, 3)) == 0:
+                dying = data.draw(st.sampled_from(groups))
+            failing = [url for url in groups if url in (raising, dying)]
 
             config = RunConfig(inputs=parts, output=tmp / "split.ndjson", workers=workers)
-            with patch.object(pipeline, "reconstruct_group", raises_on_one_url):
+            with patch.object(pipeline, "reconstruct_group", fails_on_one_or_two_urls):
                 if clean_records:
                     split = reconstruct_command(config)
                 else:
@@ -191,13 +202,15 @@ class TestReconstructCommand:
             corpus = (tmp / "split.ndjson").read_bytes()
             clean_lines = (tmp / "clean-corpus.ndjson").read_bytes().splitlines(keepends=True)
 
-        assert corpus == b"".join(line for line in clean_lines if json.loads(line)["url"] != raising)
-        assert [url for url, _ in split.group_errors] == [raising] * bool(raising_records)
+        assert corpus == b"".join(line for line in clean_lines if json.loads(line)["url"] not in failing)
+        assert [url for url, _ in split.group_errors] == failing
+        for url, error in split.group_errors:
+            assert ("worker died" if url == dying else "injected") in error
         assert [path for path, _ in split.file_errors] == [str(part) for part in unreadable]
         assert split.diagnostics == clean.diagnostics
         articles = [json.loads(line) for line in corpus.splitlines()]
         assert [a["url"] for a in articles] == sorted(a["url"] for a in articles)
-        records_left = split.diagnostics.records_ok - len(raising_records)
+        records_left = split.diagnostics.records_ok - sum(r.url in failing for r in clean_records)
         assert sum(a["fragments_total"] for a in articles) == records_left
         for article in articles:
             own = [r for r in clean_records if r.url == article["url"]]
@@ -240,7 +253,21 @@ class TestReconstructCommand:
         assert summary.articles == 1
         assert list(read_corpus(out)) == ["https://n.test/it"]
 
-    @pytest.mark.skipif(not FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize(
+        "sizes, count, shares",
+        [
+            ([5, 5, 5, 5], 2, [(0, 2), (2, 4)]),
+            ([100, 1, 1, 1, 1], 2, [(0, 1), (1, 5)]),
+            ([1, 1, 1, 1, 100], 2, [(0, 4), (4, 5)]),
+            ([1, 1, 1, 1, 100], 3, [(0, 3), (3, 4), (4, 5)]),
+            ([100, 1, 1], 3, [(0, 1), (1, 2), (2, 3)]),
+        ],
+    )
+    def test_shares_hold_about_equal_records(self, sizes, count, shares):
+        groups = {f"u{i}": [None] * size for i, size in enumerate(sizes)}
+        assert pipeline._shares(sorted(groups), groups, count) == shares
+
+    @pytest.mark.skipif(not FORK, reason="needs os.fork")
     def test_forked_pool_pickles_no_record(self, tmp_path, rng, vocab, vocab_weights):
         class Unpicklable(str):
             def __reduce_ex__(self, protocol):
@@ -260,52 +287,70 @@ class TestReconstructCommand:
 
     def test_spawned_pool_writes_the_serial_bytes(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(4)]
-        records_path, _ = shred_corpus(tmp_path, texts, drop_rate=0.2)
+        records_path, reference = shred_corpus(tmp_path, texts, drop_rate=0.2)
         serial_out = tmp_path / "serial.ndjson"
         reconstruct_command(RunConfig(inputs=[records_path], output=serial_out, workers=1))
 
-        methods = []
-        real_get_context = multiprocessing.get_context
+        spawn = multiprocessing.get_context("spawn")
+        methods, shares = [], []
+
+        class RecordingContext:
+            def Process(self, target, args):
+                shares.append(list(args[0]))
+                return spawn.Process(target=target, args=args)
 
         def recording_get_context(method=None):
             methods.append(method)
-            return real_get_context(method)
+            return RecordingContext()
 
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork", raising=False)  # the platforms without fork
         monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
         spawned_out = tmp_path / "spawned.ndjson"
         summary = reconstruct_command(RunConfig(inputs=[records_path], output=spawned_out, workers=2))
         assert methods == ["spawn"]
+        # each of the two children receives its own share's groups and no other
+        assert len(shares) == 2 and [url for share in shares for url in share] == sorted(reference)
         assert summary.group_errors == []
         assert spawned_out.read_bytes() == serial_out.read_bytes()
 
+    @pytest.mark.skipif(not FORK, reason="the patched group reaches forked workers only")
     def test_killed_worker_is_a_group_error(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
-        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(6)]
+        # a group that kills its worker costs only itself: of 40 groups on 2
+        # workers, group 17 dies, and its share is split until it is alone
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(40)]
         records_path, reference = shred_corpus(tmp_path, texts, drop_rate=0.3)
         serial_out = tmp_path / "serial.ndjson"
         reconstruct_command(RunConfig(inputs=[records_path], output=serial_out))
-        serial = read_corpus(serial_out)
-        doomed = sorted(reference)[2]
-        real_reconstruct_group = pipeline.reconstruct_group
+        doomed = sorted(reference)[17]
+        real_reconstruct_group, real_fork, real_waitpid = pipeline.reconstruct_group, os.fork, os.waitpid
+        events = []
 
         def dies_on_one_url(url, records, config):
             if url == doomed:
                 os._exit(1)
             return real_reconstruct_group(url, records, config)
 
+        def recording_fork():
+            events.append("fork")
+            return real_fork()
+
+        def recording_waitpid(pid, options):
+            events.append("wait")
+            return real_waitpid(pid, options)
+
         monkeypatch.setattr(pipeline, "reconstruct_group", dies_on_one_url)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
         out = tmp_path / "o.ndjson"
         summary = reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=2))
-        assert summary.groups == len(reference)
-        assert doomed in dict(summary.group_errors)
-        assert "worker died" in dict(summary.group_errors)[doomed]
-        assert summary.groups_skipped == len(summary.group_errors)
-        # every URL is either written once or listed once as a group error
-        written = [json.loads(line)["url"] for line in out.read_text(encoding="utf-8").splitlines()]
-        assert sorted(written + [url for url, _ in summary.group_errors]) == sorted(reference)
-        corpus = read_corpus(out)
-        assert doomed not in corpus and len(corpus) == summary.articles
-        assert all(serial[url] == text for url, text in corpus.items())
+        assert summary.groups == 40 and summary.articles == 39
+        assert [url for url, _ in summary.group_errors] == [doomed]
+        assert "worker died" in summary.group_errors[0][1]
+        serial_lines = serial_out.read_bytes().splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(line for line in serial_lines if json.loads(line)["url"] != doomed)
+        # both shares run at once; then two halves for each split of the dying share
+        assert events[:3] == ["fork", "fork", "wait"]
+        assert events.count("fork") <= 2 + 2 * math.ceil(math.log2(len(texts)))
 
     def test_failed_write_keeps_previous_corpus(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(3)]
@@ -334,28 +379,53 @@ class TestReconstructCommand:
     def test_records_frozen_only_while_the_command_runs(
         self, tmp_path, rng, vocab, vocab_weights, monkeypatch, workers, fails
     ):
+        # also: the collector is off while the groups are built, serially or
+        # in a worker, on while the corpus is written, and left as the
+        # caller had it
         texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(3)]
         records_path, _ = shred_corpus(tmp_path, texts)
         out = tmp_path / "corpus.ndjson"
         if fails:
             out.mkdir()  # the final rename onto a directory raises
-        frozen_while_writing = []
-        real_open_replacing = pipeline.open_replacing
+        writing, parsing = [], []
+        real_open_replacing, real_reconstruct_group = pipeline.open_replacing, pipeline.reconstruct_group
+        real_parse_file = pipeline.parse_file
 
         def recording_open_replacing(path, mode="w"):
-            frozen_while_writing.append(gc.get_freeze_count())
+            writing.append((gc.get_freeze_count(), gc.isenabled()))
             return real_open_replacing(path, mode)
 
+        def recording_parse_file(path, **filters):
+            parsing.append(gc.isenabled())
+            return real_parse_file(path, **filters)
+
+        def fails_with_the_collector_on(url, records, config):
+            if gc.isenabled():  # a group error, so the article is missing
+                raise RuntimeError("built with the collector on")
+            return real_reconstruct_group(url, records, config)
+
         monkeypatch.setattr(pipeline, "open_replacing", recording_open_replacing)
+        monkeypatch.setattr(pipeline, "reconstruct_group", fails_with_the_collector_on)
+        monkeypatch.setattr(pipeline, "parse_file", recording_parse_file)
         before = gc.get_freeze_count()
-        if fails:
-            with pytest.raises(OSError):
-                reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
-        else:
-            reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
-            assert len(read_corpus(out)) == len(texts)
-        assert gc.get_freeze_count() == before
-        assert len(frozen_while_writing) == 1 and frozen_while_writing[0] > before
+        try:
+            for collector in (True, False):
+                (gc.enable if collector else gc.disable)()
+                if fails:
+                    with pytest.raises(OSError):
+                        reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
+                else:
+                    reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=workers))
+                    assert len(read_corpus(out)) == len(texts)
+                assert gc.isenabled() == collector
+                assert gc.get_freeze_count() == before
+                [(frozen, collecting)] = writing
+                assert frozen > before and collecting == collector
+                assert parsing == [False]
+                writing.clear()
+                parsing.clear()
+        finally:
+            gc.enable()
 
 
 class TestRunConfig:
