@@ -273,7 +273,8 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, **settings):
               help="Window end (ISO or YYYYMMDDHHMMSS timestamp, inclusive).")
 @click.option("--dest", required=True, type=click.Path(), help="Directory for downloaded files.")
 @click.option("--template", default=DEFAULT_FETCH_TEMPLATE, show_default=True,
-              help="URL pattern; must contain {timestamp}, which expands to the UTC tick as YYYYMMDDHHMMSS.")
+              help="URL pattern; its file name (after the last '/') must contain {timestamp},"
+                   " which expands to the UTC tick as YYYYMMDDHHMMSS.")
 @click.option("--timeout", type=float, default=FETCH_TIMEOUT_S, show_default=True)
 def fetch(start, end, dest, template, timeout):
     """Download record files for a time window, one per 15-minute tick.

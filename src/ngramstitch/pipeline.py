@@ -176,7 +176,7 @@ def _run_share(groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, p
     (article, error) pairs, in the order of ``groups``, to ``path``."""
     import pickle
 
-    gc.disable()  # as in a serial run; see reconstruct_command
+    gc.disable()  # a forked child inherits it off; a spawned one starts with it on
     results = [_reconstruct_isolated(url, records, assembly) for url, records in groups.items()]
     with open(path, "wb") as fh:
         pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
@@ -285,8 +285,7 @@ def _reconstruct_in_pool(
 @contextmanager
 def _collector_off() -> Iterator[None]:
     """Skip cyclic garbage collection in the block, then restore the
-    caller's setting: the records, word lists and drafts built there hold
-    no cycles, so a collection would only walk them."""
+    caller's setting; :func:`reconstruct_command` runs in one such block."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -327,15 +326,8 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     for a missing input or an unwritable output path.
 
     The records, word lists and drafts hold no reference cycles, so cyclic
-    garbage collection is off while the inputs are parsed and grouped, and
-    while a serial run reconstructs the groups; each pool worker turns it
-    off too. The caller's setting is restored after each of these steps,
-    so the collector runs while the parent waits for its workers and writes
-    the corpus. The parsed records live until the run ends, so once they are
-    grouped they are frozen out of the collector (``gc.freeze``) until the
-    corpus is written or the command raises: no later collection, here or
-    in a forked worker, walks them again. ``gc.unfreeze`` on the way out
-    also releases objects that a caller froze earlier.
+    garbage collection is off for the whole command, and the caller's
+    setting is restored when it returns or raises.
     """
     started = time.perf_counter()
     records: list[NgramRecord] = []
@@ -366,15 +358,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             raise EmptyInputError("\n".join(lines))
 
         groups = group_by_url(records)
-        gc.freeze()  # before the collector is back on, so no collection walks the records
-    try:
         urls = sorted(groups)  # orders the shares, their results and the corpus lines
         workers = min(config.workers, len(urls))
         if workers > 1:
             results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
         else:
-            with _collector_off():
-                results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
+            results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
 
         summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
         articles: list[ReconstructedArticle] = []
@@ -391,8 +380,6 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             for article in articles:
                 fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
                 fh.write("\n")
-    finally:
-        gc.unfreeze()
 
     summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started
@@ -490,9 +477,10 @@ def fetch_window(
     Bounds are converted to UTC (a naive bound is taken as UTC), rounded
     outward to 15-minute boundaries, and both endpoints are included. The
     template must be an http(s) URL whose only placeholder is ``{timestamp}``,
-    expanded to the UTC tick as YYYYMMDDHHMMSS, and ``timeout`` (seconds per
-    request) must be positive; any other template or timeout raises
-    ValueError before ``dest`` is created or anything is requested.
+    in the file name (after the last ``/``) so that each tick gets a file of
+    its own, expanded to the UTC tick as YYYYMMDDHHMMSS, and ``timeout``
+    (seconds per request) must be positive; any other template or timeout
+    raises ValueError before ``dest`` is created or anything is requested.
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
     truncated bodies) are retried after ``FETCH_BACKOFF_S`` seconds, doubling
@@ -514,6 +502,10 @@ def fetch_window(
             f"template {template!r} must contain {{timestamp}}"
             " and no placeholder other than {timestamp}"
         )
+    probes = ("20000101000000", "20000101001500")  # two ticks 15 minutes apart
+    if len({template.format(timestamp=tick).rsplit("/", 1)[-1] for tick in probes}) == 1:
+        # every tick would be saved to, or skipped as, the same file
+        raise ValueError(f"template {template!r} must put {{timestamp}} in the file name, after the last '/'")
     if urlsplit(template).scheme not in ("http", "https"):
         raise ValueError(f"unknown url type in template {template!r}: it must be an http(s) URL")
     if not timeout > 0:  # also rejects NaN

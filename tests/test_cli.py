@@ -550,6 +550,9 @@ def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_serve
                 ("file:///d/{timestamp}.gz", "unknown url type"),
                 ("data:,{timestamp}", "unknown url type"),
                 ("/data.gz", "must contain {timestamp}"),
+                # every tick would map to one file name: "webngrams.json.gz", or the hour
+                ("/{timestamp}/webngrams.json.gz", "in the file name"),
+                ("/{timestamp:.10}.gz", "in the file name"),
             ]
         ),
         *(
