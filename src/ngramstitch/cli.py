@@ -134,7 +134,14 @@ def main(verbose: int):
 @click.option("--min-overlap", type=int, help="Smallest word overlap accepted for a merge.")
 @click.option("--pos-window", type=int, help="Max position-decile distance for a merge.")
 @click.option("--min-dup-run", type=int, help="Shortest adjacent duplicate run to collapse.")
-@click.option("--workers", type=int, help=f"Parallel workers over URL groups (default {RunConfig.workers}).")
+@click.option(
+    "--workers",
+    type=int,
+    help=(
+        f"Forked worker processes over URL groups (default {RunConfig.workers});"
+        " without os.fork the groups run in-process."
+    ),
+)
 def reconstruct(inputs, output, config_path, **flags):
     """Reconstruct articles from record files (NDJSON, plain or .gz).
 

@@ -1,5 +1,6 @@
-"""End-to-end orchestration: fetch record files, reconstruct per URL in
-parallel, write article corpora, and score them against references."""
+"""End-to-end orchestration: fetch record files, reconstruct per URL (in
+forked worker processes where asked), write article corpora, and score them
+against references."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import accumulate
 from pathlib import Path
 from string import Formatter
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 from urllib.parse import urlsplit
 
 from .assembly import AssemblyConfig, assemble, deduplicate
@@ -171,43 +172,23 @@ def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: Asse
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_share(groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str) -> None:
-    """A pool child's work: reconstruct ``groups`` and pickle their
-    (article, error) pairs, in the order of ``groups``, to ``path``."""
+def _run_share(
+    urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str
+) -> NoReturn:
+    """A forked pool child's whole life: reconstruct the groups of ``urls``,
+    pickle their (article, error) pairs, in that order, to ``path``, and
+    leave through ``os._exit``, never returning into the caller's code. The
+    exit status is 0 only once the file is complete."""
     import pickle
 
-    gc.disable()  # a forked child inherits it off; a spawned one starts with it on
-    results = [_reconstruct_isolated(url, records, assembly) for url, records in groups.items()]
-    with open(path, "wb") as fh:
-        pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
-
-
-class _ForkedChild:
-    """The part of ``multiprocessing.Process`` the pool uses, for a child
-    started with a bare ``os.fork()``: it inherits the parent's memory, so
-    its arguments are never pickled, and it leaves through ``os._exit``."""
-
-    def __init__(self, target, args):
-        self._target, self._args = target, args
-        self.pid = self.exitcode = None
-
-    def start(self) -> None:
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                self._target(*self._args)
-            except BaseException:  # the child must not return into the caller's code
-                os._exit(1)
-            os._exit(0)
-
-    def join(self) -> None:
-        _, status = os.waitpid(self.pid, 0)
-        self.exitcode = os.waitstatus_to_exitcode(status)
-
-    def kill(self) -> None:
-        import signal
-
-        os.kill(self.pid, signal.SIGKILL)
+    status = 1
+    try:
+        results = [_reconstruct_isolated(url, groups[url], assembly) for url in urls]
+        with open(path, "wb") as fh:
+            pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _shares(urls: list[str], groups: dict[str, list[NgramRecord]], count: int) -> list[tuple[int, int]]:
@@ -225,31 +206,22 @@ def _shares(urls: list[str], groups: dict[str, list[NgramRecord]], count: int) -
 def _reconstruct_in_pool(
     urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, workers: int
 ) -> list:
-    """Reconstruct the groups of ``urls`` in ``workers`` child processes and
-    return their (article, error) pairs in the order of ``urls``.
+    """Reconstruct the groups of ``urls`` in ``workers`` forked child
+    processes and return their (article, error) pairs in the order of
+    ``urls``. Needs ``os.fork``.
 
     The URLs are cut into ``workers`` consecutive shares of about equal
-    record counts, and each share runs in a child of its own, which pickles
-    its results to its own file in a temporary directory. The parent reads
-    that file only once the child has exited with status 0. A child that
-    dies has its share split in half, and each half runs in a fresh child,
-    down to a single URL, which is reported as a ``worker died`` group
+    record counts, and each share runs in a child of its own, which reads
+    its groups from the memory it inherits (no record is pickled) and
+    pickles its results to its own file in a temporary directory. The parent
+    reads that file only once the child has exited with status 0. A child
+    that dies has its share split in half, and each half runs in a fresh
+    child, down to a single URL, which is reported as a ``worker died`` group
     error. So a dying group costs only itself and O(log share) extra
-    children, and no group is ever run in the parent.
-
-    Where ``os`` offers ``fork``, each child is forked and inherits the
-    groups from this process's memory: no record is pickled, and neither
-    ``multiprocessing`` nor ``concurrent.futures`` is imported. Elsewhere
-    each child is started by ``multiprocessing``'s spawn method and receives
-    a pickled copy of its own share's groups only."""
+    children, and no group is ever run in the parent. If the parent is
+    interrupted, or a fork fails, it kills and reaps its running children
+    before the exception propagates."""
     import pickle
-
-    if hasattr(os, "fork"):
-        new_child = _ForkedChild
-    else:
-        import multiprocessing  # loading it adds 10-15 ms to every CLI start
-
-        new_child = multiprocessing.get_context("spawn").Process
 
     results: list = [None] * len(urls)
     pending = deque(_shares(urls, groups, workers))
@@ -260,25 +232,27 @@ def _reconstruct_in_pool(
                 while pending and len(running) < workers:
                     lo, hi = pending.popleft()
                     path = os.path.join(tmp, f"{lo}-{hi}.pickle")
-                    share = {url: groups[url] for url in urls[lo:hi]}
-                    child = new_child(target=_run_share, args=(share, assembly, path))
-                    child.start()
-                    running.append((lo, hi, path, child))
-                lo, hi, path, child = running[0]
-                child.join()
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_share(urls[lo:hi], groups, assembly, path)
+                    running.append((lo, hi, path, pid))
+                lo, hi, path, pid = running[0]
+                exitcode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 running.popleft()
-                if child.exitcode == 0:
+                if exitcode == 0:
                     with open(path, "rb") as fh:
                         results[lo:hi] = pickle.load(fh)
                 elif hi - lo == 1:
-                    results[lo] = (None, f"worker died: exit code {child.exitcode}")
+                    results[lo] = (None, f"worker died: exit code {exitcode}")
                 else:
                     mid = (lo + hi) // 2
                     pending += ((lo, mid), (mid, hi))
         finally:
-            for *_, child in running:
-                child.kill()
-                child.join()
+            for *_, pid in running:
+                import signal  # loading it takes about 1 ms, so only a failed run does
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results
 
 
@@ -323,7 +297,14 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     listed in ``file_errors`` and contributes no records, not even those
     read before the break. Raises ParseError when every input file is
     unreadable, EmptyInputError when nothing survives filtering, and OSError
-    for a missing input or an unwritable output path.
+    for a missing input, an unwritable output path or a worker process that
+    could not be started.
+
+    With ``config.workers`` above 1 the groups run in forked worker
+    processes; where ``os`` has no ``fork`` they run in this process, as
+    with one worker, and the bytes are the same. A fork copies only the
+    calling thread, so a caller that runs other threads should keep one
+    worker.
 
     The records, word lists and drafts hold no reference cycles, so cyclic
     garbage collection is off for the whole command, and the caller's
@@ -359,7 +340,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
 
         groups = group_by_url(records)
         urls = sorted(groups)  # orders the shares, their results and the corpus lines
-        workers = min(config.workers, len(urls))
+        workers = min(config.workers, len(urls)) if hasattr(os, "fork") else 1
         if workers > 1:
             results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
         else:

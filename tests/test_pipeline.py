@@ -1,3 +1,4 @@
+import errno
 import gc
 import gzip
 import inspect
@@ -5,23 +6,25 @@ import io
 import json
 import logging
 import math
-import multiprocessing
 import os
-import pickle
 import random
+import signal
 import stat
 import tempfile
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngramstitch import pipeline
 from ngramstitch.assembly import AssemblyConfig
+from ngramstitch.cli import main
 from ngramstitch.pipeline import (
     DEFAULT_FETCH_TEMPLATE,
     EmptyInputError,
@@ -287,35 +290,74 @@ class TestReconstructCommand:
         assert all(article is not None and error is None for article, error in serial)
         assert pipeline._reconstruct_in_pool(urls, groups, assembly, 2) == serial
 
-    def test_spawned_pool_writes_the_serial_bytes(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+    def test_without_fork_the_groups_run_in_process(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(4)]
-        records_path, reference = shred_corpus(tmp_path, texts, drop_rate=0.2)
-        serial_out = tmp_path / "serial.ndjson"
+        records_path, _ = shred_corpus(tmp_path, texts, drop_rate=0.2)
+        serial_out, pooled_out = tmp_path / "serial.ndjson", tmp_path / "pooled.ndjson"
         reconstruct_command(RunConfig(inputs=[records_path], output=serial_out, workers=1))
 
-        spawn = multiprocessing.get_context("spawn")
-        methods, shares = [], []
-
-        class RecordingContext:
-            def Process(self, target, args):
-                shares.append(list(args[0]))
-                return spawn.Process(target=target, args=args)
-
-        def recording_get_context(method=None):
-            methods.append(method)
-            return RecordingContext()
+        def no_pool(*args):
+            raise AssertionError("the pool ran without os.fork")
 
         monkeypatch.delattr(os, "fork", raising=False)  # the platforms without fork
-        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
-        spawned_out = tmp_path / "spawned.ndjson"
-        summary = reconstruct_command(RunConfig(inputs=[records_path], output=spawned_out, workers=2))
-        assert methods == ["spawn"]
-        # each of the two children receives its own share's groups and no other
-        assert len(shares) == 2 and [url for share in shares for url in share] == sorted(reference)
-        assert summary.group_errors == []
-        assert spawned_out.read_bytes() == serial_out.read_bytes()
+        monkeypatch.setattr(pipeline, "_reconstruct_in_pool", no_pool)
+        summary = reconstruct_command(RunConfig(inputs=[records_path], output=pooled_out, workers=2))
+        assert summary.groups == len(texts) and summary.group_errors == []
+        assert pooled_out.read_bytes() == serial_out.read_bytes()
 
-    @pytest.mark.skipif(not FORK, reason="the patched group reaches forked workers only")
+    @pytest.mark.skipif(not FORK, reason="needs os.fork")
+    @pytest.mark.parametrize("via", ["library", "cli"])
+    def test_failed_fork_kills_and_reaps_the_running_worker(
+        self, tmp_path, rng, vocab, vocab_weights, monkeypatch, via
+    ):
+        # the second fork fails while the first worker is busy for 10 s: the
+        # run fails at once, the worker is killed and reaped, the temporary
+        # directory is gone and the previous corpus stands
+        texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(2)]
+        records_path, _ = shred_corpus(tmp_path, texts)
+        out = tmp_path / "corpus.ndjson"
+        out.write_bytes(b'{"url": "old", "text": "previous run"}\n')
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        real_fork, pids = os.fork, []
+
+        def fails_on_second_call():
+            if pids:  # simulated: no process id is really used up
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pids.append(real_fork())
+            return pids[-1]
+
+        def sleeps(url, records, config):
+            time.sleep(10)
+
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(os, "fork", fails_on_second_call)
+        monkeypatch.setattr(pipeline, "reconstruct_group", sleeps)
+        started = time.monotonic()
+        if via == "library":
+            with pytest.raises(OSError):
+                reconstruct_command(RunConfig(inputs=[records_path], output=out, workers=2))
+        else:
+            args = ["reconstruct", str(records_path), "-o", str(out), "--workers", "2"]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 4 and "I/O error" in result.output
+        assert time.monotonic() - started < 5
+        [pid] = pids
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            pass  # the run reaped it
+        else:  # leave no child behind, then fail
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            pytest.fail("the running worker was not reaped")
+        assert not list(scratch.glob("ngramstitch-*"))
+        assert out.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
+        assert not list(tmp_path.glob("*.part"))
+
+    @pytest.mark.skipif(not FORK, reason="needs os.fork: run in-process, the dying group would end the test run")
     def test_killed_worker_is_a_group_error(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         # a group that kills its worker costs only itself: of 40 groups on 2
         # workers, group 17 dies, and its share is split until it is alone
@@ -432,33 +474,9 @@ class TestReconstructCommand:
             gc.unfreeze()
             gc.enable()
 
-    def test_share_turns_the_collector_off_itself(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
-        # a spawned worker starts with the collector on, unlike a forked one
-        texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(2)]
-        records_path, reference = shred_corpus(tmp_path, texts)
-        groups = group_by_url(parse_file(records_path)[0])
-        real_reconstruct_group = pipeline.reconstruct_group
-
-        def fails_with_the_collector_on(url, records, config):
-            if gc.isenabled():
-                raise RuntimeError("built with the collector on")
-            return real_reconstruct_group(url, records, config)
-
-        monkeypatch.setattr(pipeline, "reconstruct_group", fails_with_the_collector_on)
-        path = tmp_path / "share.pickle"
-        gc.enable()
-        try:
-            pipeline._run_share(groups, AssemblyConfig(), str(path))
-        finally:
-            gc.enable()
-        with open(path, "rb") as fh:
-            results = pickle.load(fh)
-        assert len(results) == len(reference)
-        assert all(article is not None and error is None for article, error in results)
-
     @pytest.mark.parametrize("workers", [
         1,
-        pytest.param(2, marks=pytest.mark.skipif(not FORK, reason="the patched group reaches forked workers only")),
+        pytest.param(2, marks=pytest.mark.skipif(not FORK, reason="without os.fork, 2 workers run serially")),
     ])
     def test_run_leaves_no_cyclic_garbage(self, tmp_path, rng, vocab, vocab_weights, monkeypatch, workers):
         # the premise of running with the collector off: a run, with a group
