@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+import threading
 from collections.abc import Iterable
 from contextlib import ExitStack
 from dataclasses import fields
@@ -160,6 +161,16 @@ def reconstruct(inputs, output, config_path, **flags):
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
+    import signal  # imported here, so that importing the CLI loads nothing more
+
+    def stop(signum, frame):
+        # an exception, unlike the default action, runs the pool's kill and reap, and
+        # the removal of the temporary directory and of a half-written corpus
+        raise SystemExit(128 + signum)
+
+    # only the main thread may set a handler; called from another, the caller's policy holds
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, stop) if on_main_thread else None
     try:
         _reject_same_file([("-o/--output", output)], expand_inputs(inputs))
         summary = reconstruct_command(run_config)
@@ -172,6 +183,9 @@ def reconstruct(inputs, output, config_path, **flags):
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     for line in summary_lines(summary, output):
         click.echo(line, err=True)
     if summary.file_errors or summary.group_errors:

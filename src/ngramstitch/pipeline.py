@@ -12,7 +12,7 @@ import tempfile
 import time
 from bisect import bisect_left
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
@@ -173,16 +173,20 @@ def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: Asse
 
 
 def _run_share(
-    urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str
+    urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str, sigmask: set
 ) -> NoReturn:
     """A forked pool child's whole life: reconstruct the groups of ``urls``,
     pickle their (article, error) pairs, in that order, to ``path``, and
     leave through ``os._exit``, never returning into the caller's code. The
-    exit status is 0 only once the file is complete."""
+    exit status is 0 only once the file is complete. The child starts with
+    SIGINT and SIGTERM blocked and restores ``sigmask`` only inside its
+    ``try``, so a handler that raises cannot carry it into the caller's code."""
     import pickle
+    import signal
 
     status = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
         results = [_reconstruct_isolated(url, groups[url], assembly) for url in urls]
         with open(path, "wb") as fh:
             pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
@@ -220,8 +224,12 @@ def _reconstruct_in_pool(
     error. So a dying group costs only itself and O(log share) extra
     children, and no group is ever run in the parent. If the parent is
     interrupted, or a fork fails, it kills and reaps its running children
-    before the exception propagates."""
+    before the exception propagates. SIGINT and SIGTERM are blocked from
+    each fork until its child is recorded: a handler that raised in between,
+    or in the fork's own hooks, which swallow exceptions, would leave that
+    child running or the signal lost."""
     import pickle
+    import signal
 
     results: list = [None] * len(urls)
     pending = deque(_shares(urls, groups, workers))
@@ -232,10 +240,14 @@ def _reconstruct_in_pool(
                 while pending and len(running) < workers:
                     lo, hi = pending.popleft()
                     path = os.path.join(tmp, f"{lo}-{hi}.pickle")
-                    pid = os.fork()
-                    if pid == 0:
-                        _run_share(urls[lo:hi], groups, assembly, path)
-                    running.append((lo, hi, path, pid))
+                    sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _run_share(urls[lo:hi], groups, assembly, path, sigmask)
+                        running.append((lo, hi, path, pid))
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
                 lo, hi, path, pid = running[0]
                 exitcode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 running.popleft()
@@ -249,10 +261,11 @@ def _reconstruct_in_pool(
                     pending += ((lo, mid), (mid, hi))
         finally:
             for *_, pid in running:
-                import signal  # loading it takes about 1 ms, so only a failed run does
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                # a handler that raised right after a wait left its reaped child here
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
     return results
 
 
@@ -305,6 +318,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     with one worker, and the bytes are the same. A fork copies only the
     calling thread, so a caller that runs other threads should keep one
     worker.
+
+    The command installs no signal handler; the caller's policy holds. The
+    cleanup above runs on an exception, so a caller that wants SIGTERM to
+    leave no worker, temporary directory or ``.part`` file behind turns it
+    into one, as the ``reconstruct`` CLI command does with ``SystemExit(143)``.
+    Forked workers inherit that handler.
 
     The records, word lists and drafts hold no reference cycles, so cyclic
     garbage collection is off for the whole command, and the caller's

@@ -1,9 +1,13 @@
 import gzip
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import zlib
+from contextlib import suppress
 from pathlib import Path
 
 import click
@@ -590,13 +594,18 @@ def test_fetch_dest_naming_a_file_is_io_error(runner, tmp_path):
     assert "I/O error" in result.output and str(dest) in result.output
 
 
+def python_env(**extra):
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 def run_python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's package,
     in a session of its own, so no process it starts can signal the test run."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, start_new_session=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=python_env(), timeout=60,
+        start_new_session=True,
     )
 
 
@@ -625,6 +634,72 @@ def test_forked_reconstruct_loads_no_pool_library(runner, tmp_path, rng, vocab, 
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"  # a worker that returned into this code would print again
     assert len(read_corpus(corpus)) == len(texts)
+
+
+def test_reconstruct_runs_off_the_main_thread(runner, tmp_path, rng, vocab, vocab_weights):
+    # only the main thread may set a signal handler: from any other, the
+    # command runs under the caller's SIGTERM policy
+    texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)]
+    records, corpus = tmp_path / "records.ndjson", tmp_path / "corpus.ndjson"
+    result = runner.invoke(main, ["shred", *map(str, write_sources(tmp_path, texts)), "-o", str(records)])
+    assert result.exit_code == 0, result.output
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(runner.invoke(main, ["reconstruct", str(records), "-o", str(corpus)]))
+    )
+    thread.start()
+    thread.join()
+    assert results[0].exit_code == 0, results[0].output
+    assert len(read_corpus(corpus)) == len(texts)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sigterm_stops_a_pooled_reconstruct_and_cleans_up(runner, tmp_path, rng, vocab, vocab_weights):
+    # both workers sleep in their group; SIGTERM to the command ends it with
+    # 143, its workers killed and reaped, its temporary directory removed and
+    # the previous corpus standing
+    texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)]
+    records, corpus = tmp_path / "records.ndjson", tmp_path / "corpus.ndjson"
+    result = runner.invoke(main, ["shred", *map(str, write_sources(tmp_path, texts)), "-o", str(records)])
+    assert result.exit_code == 0, result.output
+    corpus.write_bytes(b'{"url": "old", "text": "previous run"}\n')
+    scratch, markers = tmp_path / "tmp", tmp_path / "markers"
+    scratch.mkdir()
+    markers.mkdir()
+    args = ["reconstruct", str(records), "-o", str(corpus), "--workers", "2"]
+    code = (
+        "import os, time\n"
+        "from ngramstitch import cli, pipeline\n"
+        "def sleeps(url, records, config):\n"
+        f"    open(os.path.join({str(markers)!r}, str(os.getpid())), 'w').close()\n"
+        "    time.sleep(30)\n"
+        "pipeline.reconstruct_group = sleeps\n"
+        f"cli.main({args!r})\n"
+    )
+    # stderr goes to a file: a worker left running would hold a pipe open
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], stderr=err, env=python_env(TMPDIR=str(scratch)), start_new_session=True
+        )
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(markers.iterdir())) < 2:
+            assert child.poll() is None and time.monotonic() < deadline, "the workers did not start"
+            time.sleep(0.01)
+        pids = [int(marker.name) for marker in markers.iterdir()]
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=5) == 143, stderr.read_text()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert not list(scratch.glob("ngramstitch-*"))
+        assert corpus.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
+        assert not list(tmp_path.glob("*.part"))
+    finally:  # leave no process of the run behind, whatever failed
+        with suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
 
 
 def test_fetch_start_after_end_is_usage_error(runner, tmp_path):

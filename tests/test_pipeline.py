@@ -396,6 +396,109 @@ class TestReconstructCommand:
         assert events[:3] == ["fork", "fork", "wait"]
         assert events.count("fork") <= 2 + 2 * math.ceil(math.log2(len(texts)))
 
+    @pytest.mark.skipif(not FORK, reason="needs os.fork: run in-process, SIGTERM would end the test run")
+    def test_worker_stopped_by_sigterm_is_a_group_error(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        # the workers inherit the CLI's SIGTERM handler, so a worker sent
+        # SIGTERM leaves through os._exit(1) rather than by the signal, and its
+        # share is split as a dying one is; the caller's handler is restored
+        texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(8)]
+        records_path, reference = shred_corpus(tmp_path, texts)
+        serial_out = tmp_path / "serial.ndjson"
+        reconstruct_command(RunConfig(inputs=[records_path], output=serial_out))
+        doomed = sorted(reference)[5]
+        real_reconstruct_group = pipeline.reconstruct_group
+
+        def stopped_on_one_url(url, records, config):
+            if url == doomed:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return real_reconstruct_group(url, records, config)
+
+        monkeypatch.setattr(pipeline, "reconstruct_group", stopped_on_one_url)
+        previous = signal.getsignal(signal.SIGTERM)
+        out = tmp_path / "o.ndjson"
+        result = CliRunner().invoke(main, ["reconstruct", str(records_path), "-o", str(out), "--workers", "2"])
+        assert signal.getsignal(signal.SIGTERM) is previous
+        assert result.exit_code == 5, result.output
+        assert f"group error: {doomed}: worker died: exit code 1" in result.output
+        assert result.output.count("group error:") == 1
+        serial_lines = serial_out.read_bytes().splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(line for line in serial_lines if json.loads(line)["url"] != doomed)
+
+    @pytest.mark.skipif(not FORK, reason="needs os.fork")
+    def test_stop_signals_are_blocked_only_across_each_fork(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        # a handler that raised between a fork and the record of its child, or
+        # in the fork's own hooks, would leave the child running or be lost
+        texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(4)]
+        records_path, _ = shred_corpus(tmp_path, texts)
+        stop = {signal.SIGINT, signal.SIGTERM}
+        real_fork, real_reconstruct_group = os.fork, pipeline.reconstruct_group
+        masks = []
+
+        def recording_fork():
+            masks.append(signal.pthread_sigmask(signal.SIG_BLOCK, set()))
+            return real_fork()
+
+        def fails_if_blocked(url, records, config):
+            if stop & signal.pthread_sigmask(signal.SIG_BLOCK, set()):
+                raise RuntimeError("the worker runs with SIGINT or SIGTERM blocked")
+            return real_reconstruct_group(url, records, config)
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(pipeline, "reconstruct_group", fails_if_blocked)
+        summary = reconstruct_command(RunConfig(inputs=[records_path], output=tmp_path / "o.ndjson", workers=2))
+        assert summary.group_errors == [] and summary.articles == len(texts)
+        assert len(masks) == 2 and all(stop <= mask for mask in masks)
+        assert not stop & signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+    @pytest.mark.skipif(not FORK, reason="needs os.fork")
+    def test_interrupt_right_after_a_wait_kills_and_reaps_the_rest(
+        self, tmp_path, rng, vocab, vocab_weights, monkeypatch
+    ):
+        # a handler may raise just after a wait returned, while the reaped
+        # child is still listed as running: the other child is still killed
+        texts = [make_article(rng, 40, vocab, vocab_weights) for _ in range(2)]
+        records_path, reference = shred_corpus(tmp_path, texts)
+        first = sorted(reference)[0]
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        real_fork, real_waitpid, pids = os.fork, os.waitpid, []
+
+        def recording_fork():
+            pids.append(real_fork())
+            return pids[-1]
+
+        def sleeps_but_first(url, records, config):
+            if url != first:
+                time.sleep(10)
+
+        def interrupted_after_first_wait(pid, options):
+            result = real_waitpid(pid, options)
+            if len(pids) == 2 and pid == pids[0] and options == 0:
+                pids.append(None)  # interrupt once
+                raise KeyboardInterrupt
+            return result
+
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "waitpid", interrupted_after_first_wait)
+        monkeypatch.setattr(pipeline, "reconstruct_group", sleeps_but_first)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            reconstruct_command(RunConfig(inputs=[records_path], output=tmp_path / "o.ndjson", workers=2))
+        assert time.monotonic() - started < 5
+        monkeypatch.undo()
+        try:
+            os.waitpid(pids[1], os.WNOHANG)
+        except ChildProcessError:
+            pass  # the run reaped it
+        else:  # leave no child behind, then fail
+            with suppress(ProcessLookupError):
+                os.kill(pids[1], signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pids[1], 0)
+            pytest.fail("the running worker was not reaped")
+        assert not list(scratch.glob("ngramstitch-*"))
+
     def test_failed_write_keeps_previous_corpus(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
         texts = [make_article(rng, 60, vocab, vocab_weights) for _ in range(3)]
         records_path, _ = shred_corpus(tmp_path, texts)

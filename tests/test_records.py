@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import gzip
 import io
 import json
+import os
 import random
 from datetime import datetime, timezone
 
@@ -149,6 +151,59 @@ def test_multi_member_gzip_yields_every_member():
     records, diags = parse_bytes(gzip.compress(first.encode()) + gzip.compress(second.encode()))
     assert [r.ngram for r in records] == ["a0", "a1", "a2", "b0", "b1"]
     assert diags.lines_read == diags.records_ok == 5
+
+
+class FailsAfterFirstChunk(io.RawIOBase):
+    """A raw stream whose first read returns ``first`` (None: fails at once)
+    and whose every later read fails with EIO, as a failing disk would."""
+
+    def __init__(self, first: bytes | None):
+        self.first = first
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self.first is None:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        size = len(self.first)
+        buffer[:size] = self.first
+        self.first = None
+        return size
+
+
+def test_read_error_is_a_parse_error_only_for_gzip():
+    data = random.Random(5).randbytes(20_000)
+    first = data[:4000]  # fits the reader's buffer, and holds the gzip header
+    with pytest.raises(OSError) as raised:
+        parse_records(FailsAfterFirstChunk(first))
+    assert raised.type is OSError and raised.value.errno == errno.EIO
+    with pytest.raises(ParseError, match="unreadable gzip stream"):
+        parse_records(FailsAfterFirstChunk(gzip.compress(data)[:4000]))
+    # the first read happens while the magic is sniffed, before parsing starts
+    with pytest.raises(OSError) as raised:
+        parse_records(FailsAfterFirstChunk(None))
+    assert raised.type is OSError and raised.value.errno == errno.EIO
+
+
+def test_failing_stream_without_peek_is_left_open():
+    # the reader wrapped around it is detached, not closed, however the call ends
+    for first in (None, b"{}\n"):
+        stream = FailsAfterFirstChunk(first)
+        with pytest.raises(OSError):
+            parse_records(stream)
+        assert not stream.closed
+
+
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "raw"])
+def test_caller_stream_is_left_open(buffered, gzipped):
+    data = gzip.compress(GOOD_LINE.encode()) if gzipped else GOOD_LINE.encode()
+    # a stream without peek is wrapped in a reader for the call
+    stream = io.BufferedReader(io.BytesIO(data)) if buffered else io.BytesIO(data)
+    records, diags = parse_records(stream)
+    assert len(records) == diags.records_ok == 1
+    assert not stream.closed
 
 
 @pytest.mark.parametrize(
@@ -299,6 +354,8 @@ VALID_VALUES = {
             "https://news.example.com/a",
             "https://news.example.com/sports/b",
             "https://other.example.com/c",
+            # matches "news.example" only where "." is read as any character
+            "https://newsXexample.com/d",
         ]
     ),
     "lang_type": st.sampled_from([1, 2, "1", " 2 ", 1.0]),
@@ -352,6 +409,8 @@ OTHER_LINES = [
     b"\x0b" + GOOD_LINE.encode() + b"\x0c",
     # a UTF-8 byte order mark is no JSON whitespace
     b"\xef\xbb\xbf" + GOOD_LINE.encode(),
+    # no JSON value starts the line
+    b"]",
 ]
 
 
@@ -370,10 +429,13 @@ def record_line(draw) -> bytes:
 @st.composite
 def parse_inputs(draw):
     lines = draw(st.lists(st.one_of(record_line(), st.sampled_from(OTHER_LINES)), max_size=25))
+    # patterns are plain substrings: regex metacharacters match only
+    # themselves, and the empty pattern matches every URL
+    literal = [["news.example"], ["(", "+"], [""]]
     kwargs = {
         "langs": draw(st.sampled_from([None, set(), {"en"}, {"en", "fr"}])),
-        "url_include": draw(st.sampled_from([[], ["news.example.com"], ["/a", "/c"]])),
-        "url_exclude": draw(st.sampled_from([[], ["/sports/"]])),
+        "url_include": draw(st.sampled_from([[], ["news.example.com"], ["/a", "/c"], *literal])),
+        "url_exclude": draw(st.sampled_from([[], ["/sports/"], *literal])),
     }
     return b"\n".join(lines), kwargs
 
