@@ -117,7 +117,40 @@ def _parse_thresholds(value: str) -> list[float]:
     return thresholds
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: its ``invoke`` decides, for every command, what
+    SIGTERM does and the exit status of an error that reaches it."""
+
+    def invoke(self, ctx: click.Context):
+        import signal  # imported here, so that importing the CLI loads nothing more
+
+        def stop(signum, frame):
+            # an exception, unlike the default action, runs the command's cleanup: the
+            # removal of a half-written .part file, and the pool's kill and reap
+            raise SystemExit(128 + signum)
+
+        # only the main thread may set a handler; called from another, the caller's policy holds
+        on_main_thread = threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGTERM, stop) if on_main_thread else None
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout ends as click ends it: exit 1, with no message
+        except EmptyInputError as exc:
+            click.echo(f"empty input: {exc}", err=True)
+            sys.exit(EXIT_EMPTY_INPUT)
+        except ParseError as exc:
+            click.echo(f"unreadable input: {exc}", err=True)
+            sys.exit(EXIT_IO_ERROR)
+        except OSError as exc:
+            click.echo(f"I/O error: {exc}", err=True)
+            sys.exit(EXIT_IO_ERROR)
+        finally:
+            if on_main_thread:
+                signal.signal(signal.SIGTERM, previous)
+
+
+@click.group(cls=_Commands)
 @click.option("-v", "--verbose", count=True, help="Increase log detail (-v info, -vv debug).")
 def main(verbose: int):
     """Rebuild full news-article text from web-ngrams record files."""
@@ -160,32 +193,8 @@ def reconstruct(inputs, output, config_path, **flags):
         run_config = RunConfig(list(inputs), output, AssemblyConfig(**assembly), **settings)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-    import signal  # imported here, so that importing the CLI loads nothing more
-
-    def stop(signum, frame):
-        # an exception, unlike the default action, runs the pool's kill and reap, and
-        # the removal of the temporary directory and of a half-written corpus
-        raise SystemExit(128 + signum)
-
-    # only the main thread may set a handler; called from another, the caller's policy holds
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, stop) if on_main_thread else None
-    try:
-        _reject_same_file([("-o/--output", output)], expand_inputs(inputs))
-        summary = reconstruct_command(run_config)
-    except EmptyInputError as exc:
-        click.echo(f"empty input: {exc}", err=True)
-        sys.exit(EXIT_EMPTY_INPUT)
-    except ParseError as exc:
-        click.echo(f"unreadable input: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
-    finally:
-        if on_main_thread:
-            signal.signal(signal.SIGTERM, previous)
+    _reject_same_file([("-o/--output", output)], expand_inputs(inputs))
+    summary = reconstruct_command(run_config)
     for line in summary_lines(summary, output):
         click.echo(line, err=True)
     if summary.file_errors or summary.group_errors:
@@ -216,9 +225,6 @@ def validate(reconstructed, reference, thresholds, report_json, report_table):
         )
     except ValueError as exc:  # a corpus line that is not UTF-8 {url, text} JSON
         click.echo(f"invalid corpus: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
     click.echo(format_report_table(report))
     click.echo(
@@ -265,26 +271,22 @@ def shred_cmd(sources, output, reference_out, url_prefix, lang, **settings):
             raise click.UsageError(f"{sources_by_url[url]} and {source} would share the article URL {url}")
         sources_by_url[url] = source
 
-    try:
-        with ExitStack() as stack:
-            out_fh = stack.enter_context(open_replacing(output))
-            reference_fh = stack.enter_context(open_replacing(reference_out)) if reference_out else None
-            for url, source in sources_by_url.items():
-                try:
-                    text = Path(source).read_text(encoding="utf-8")
-                    records = shred(text, config, url=url, lang=lang)
-                except ValueError as exc:  # an empty or a non-UTF-8 source
-                    raise click.UsageError(f"{source}: {exc}")
-                for record in records:
-                    out_fh.write(json.dumps(record_to_json_dict(record), ensure_ascii=False))
-                    out_fh.write("\n")
-                if reference_fh is not None:
-                    clean = " ".join(text.split())
-                    reference_fh.write(json.dumps({"url": url, "text": clean}, ensure_ascii=False))
-                    reference_fh.write("\n")
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
+    with ExitStack() as stack:
+        out_fh = stack.enter_context(open_replacing(output))
+        reference_fh = stack.enter_context(open_replacing(reference_out)) if reference_out else None
+        for url, source in sources_by_url.items():
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+                records = shred(text, config, url=url, lang=lang)
+            except ValueError as exc:  # an empty or a non-UTF-8 source
+                raise click.UsageError(f"{source}: {exc}")
+            for record in records:
+                out_fh.write(json.dumps(record_to_json_dict(record), ensure_ascii=False))
+                out_fh.write("\n")
+            if reference_fh is not None:
+                clean = " ".join(text.split())
+                reference_fh.write(json.dumps({"url": url, "text": clean}, ensure_ascii=False))
+                reference_fh.write("\n")
 
 
 @main.command()
@@ -311,9 +313,6 @@ def fetch(start, end, dest, template, timeout):
         paths = fetch_window(start_ts, end_ts, template=template, dest=dest, timeout=timeout)
     except ValueError as exc:  # --start after --end, a bad --template, or a --timeout not above 0
         raise click.UsageError(str(exc))
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
     click.echo(f"downloaded {len(paths)} file(s) to {dest}", err=True)
     for path in paths:
         click.echo(str(path))

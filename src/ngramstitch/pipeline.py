@@ -322,7 +322,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     The command installs no signal handler; the caller's policy holds. The
     cleanup above runs on an exception, so a caller that wants SIGTERM to
     leave no worker, temporary directory or ``.part`` file behind turns it
-    into one, as the ``reconstruct`` CLI command does with ``SystemExit(143)``.
+    into one, as the CLI does for every command with ``SystemExit(143)``.
     Forked workers inherit that handler.
 
     The records, word lists and drafts hold no reference cycles, so cyclic

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import threading
 import time
 import zlib
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import click
@@ -313,6 +314,20 @@ def test_validate_bad_thresholds_is_usage_error(runner, tmp_path, thresholds, me
     result = runner.invoke(main, ["validate", str(corpus), str(corpus), "--thresholds", thresholds])
     assert result.exit_code == 2
     assert message in result.output
+
+
+def test_validate_closed_stdout_ends_as_click_ends_it(runner, tmp_path, monkeypatch):
+    # a closed stdout is no I/O error of the command: exit 1, with no message
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text('{"url": "u", "text": "x"}\n')
+
+    def closed_stdout(report):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cli, "format_report_table", closed_stdout)
+    result = runner.invoke(main, ["validate", str(corpus), str(corpus)])
+    assert result.exit_code == 1
+    assert result.output == ""
 
 
 def test_validate_disjoint_urls_warns_but_succeeds(runner, tmp_path):
@@ -653,6 +668,46 @@ def test_reconstruct_runs_off_the_main_thread(runner, tmp_path, rng, vocab, voca
     assert len(read_corpus(corpus)) == len(texts)
 
 
+@contextmanager
+def stopped_by_sigterm(tmp_path, target, args, sleepers):
+    """Run ``cli.main(args)`` in a fresh interpreter in a session of its own,
+    with ``target`` (a module attribute) replaced by a function that leaves a
+    marker named by its pid and sleeps. Once ``sleepers`` markers stand, send
+    SIGTERM and yield the exit status, the sleepers' pids and the stderr text.
+    Every process of the session is killed on the way out, whatever failed."""
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    code = (
+        "import os, time\n"
+        "from ngramstitch import cli, pipeline\n"
+        "def sleeps(*args, **kwargs):\n"
+        f"    open(os.path.join({str(markers)!r}, str(os.getpid())), 'w').close()\n"
+        "    time.sleep(30)\n"
+        f"{target} = sleeps\n"
+        f"cli.main({args!r})\n"
+    )
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    # stderr goes to a file: a worker left running would hold a pipe open
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], stderr=err, env=python_env(TMPDIR=str(scratch)), start_new_session=True
+        )
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(markers.iterdir())) < sleepers:
+            assert child.poll() is None and time.monotonic() < deadline, "the command did not start"
+            time.sleep(0.01)
+        pids = [int(marker.name) for marker in markers.iterdir()]
+        child.send_signal(signal.SIGTERM)
+        yield child.wait(timeout=5), pids, stderr.read_text()
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_sigterm_stops_a_pooled_reconstruct_and_cleans_up(runner, tmp_path, rng, vocab, vocab_weights):
     # both workers sleep in their group; SIGTERM to the command ends it with
@@ -663,43 +718,29 @@ def test_sigterm_stops_a_pooled_reconstruct_and_cleans_up(runner, tmp_path, rng,
     result = runner.invoke(main, ["shred", *map(str, write_sources(tmp_path, texts)), "-o", str(records)])
     assert result.exit_code == 0, result.output
     corpus.write_bytes(b'{"url": "old", "text": "previous run"}\n')
-    scratch, markers = tmp_path / "tmp", tmp_path / "markers"
-    scratch.mkdir()
-    markers.mkdir()
     args = ["reconstruct", str(records), "-o", str(corpus), "--workers", "2"]
-    code = (
-        "import os, time\n"
-        "from ngramstitch import cli, pipeline\n"
-        "def sleeps(url, records, config):\n"
-        f"    open(os.path.join({str(markers)!r}, str(os.getpid())), 'w').close()\n"
-        "    time.sleep(30)\n"
-        "pipeline.reconstruct_group = sleeps\n"
-        f"cli.main({args!r})\n"
-    )
-    # stderr goes to a file: a worker left running would hold a pipe open
-    stderr = tmp_path / "stderr.txt"
-    with open(stderr, "wb") as err:
-        child = subprocess.Popen(
-            [sys.executable, "-c", code], stderr=err, env=python_env(TMPDIR=str(scratch)), start_new_session=True
-        )
-    try:
-        deadline = time.monotonic() + 30
-        while len(list(markers.iterdir())) < 2:
-            assert child.poll() is None and time.monotonic() < deadline, "the workers did not start"
-            time.sleep(0.01)
-        pids = [int(marker.name) for marker in markers.iterdir()]
-        child.send_signal(signal.SIGTERM)
-        assert child.wait(timeout=5) == 143, stderr.read_text()
+    with stopped_by_sigterm(tmp_path, "pipeline.reconstruct_group", args, sleepers=2) as (status, pids, stderr):
+        assert status == 143, stderr
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-        assert not list(scratch.glob("ngramstitch-*"))
+        assert not list((tmp_path / "tmp").glob("ngramstitch-*"))
         assert corpus.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
         assert not list(tmp_path.glob("*.part"))
-    finally:  # leave no process of the run behind, whatever failed
-        with suppress(ProcessLookupError):
-            os.killpg(child.pid, signal.SIGKILL)
-        child.wait()
+
+
+def test_sigterm_stops_shred_and_leaves_no_part_file(tmp_path, rng, vocab, vocab_weights):
+    # the command sleeps with both outputs open as .part files
+    sources = write_sources(tmp_path, [make_article(rng, 40, vocab, vocab_weights) for _ in range(2)])
+    records, reference = tmp_path / "records.ndjson", tmp_path / "reference.ndjson"
+    records.write_bytes(b"previous records\n")
+    reference.write_bytes(b"previous reference\n")
+    args = ["shred", *map(str, sources), "-o", str(records), "--reference-out", str(reference)]
+    with stopped_by_sigterm(tmp_path, "cli.shred", args, sleepers=1) as (status, _, stderr):
+        assert status == 143, stderr
+        assert records.read_bytes() == b"previous records\n"
+        assert reference.read_bytes() == b"previous reference\n"
+        assert not list(tmp_path.glob("*.part"))
 
 
 def test_fetch_start_after_end_is_usage_error(runner, tmp_path):
