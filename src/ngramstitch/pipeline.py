@@ -306,12 +306,12 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
     intact. A group that raises, or that kills the worker process running
     it (see :func:`_reconstruct_in_pool`), is counted in ``groups_skipped``
     and listed in ``group_errors``; every other group is written as a serial
-    run writes it. An unreadable file (ParseError, say a truncated gzip) is
-    listed in ``file_errors`` and contributes no records, not even those
-    read before the break. Raises ParseError when every input file is
-    unreadable, EmptyInputError when nothing survives filtering, and OSError
-    for a missing input, an unwritable output path or a worker process that
-    could not be started.
+    run writes it. An unreadable file (ParseError: a truncated gzip, or any
+    file whose read fails midway) is listed in ``file_errors`` and
+    contributes no records, not even those read before the break. Raises
+    ParseError when every input file is unreadable, EmptyInputError when
+    nothing survives filtering, and OSError for a missing input, an
+    unwritable output path or a worker process that could not be started.
 
     With ``config.workers`` above 1 the groups run in forked worker
     processes; where ``os`` has no ``fork`` they run in this process, as

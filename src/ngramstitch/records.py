@@ -9,6 +9,10 @@ directly, each URL filter list is compiled once per call into one search
 the buckets at the end. Dates are parsed once per distinct value, and the
 records of one call share one string object per distinct url and lang.
 
+The parser takes a buffered binary stream with ``peek``, as ``open(path,
+"rb")`` gives, and any error reading it, plain or gzip, raises
+:class:`ParseError`: the caller counts that file as unreadable.
+
 The feed has one fixed schema; its JSON keys are spelled out only in
 :func:`parse_records` and its inverse :func:`record_to_json_dict`.
 """
@@ -29,7 +33,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 
 class ParseError(Exception):
-    """The input stream itself is unreadable (bad gzip container, broken file)."""
+    """The input stream itself is unreadable (bad gzip container, failed read)."""
 
 
 class NgramRecord(NamedTuple):
@@ -120,6 +124,8 @@ def parse_records(
 ) -> tuple[list[NgramRecord], ParseDiagnostics]:
     """Parse newline-delimited JSON (optionally gzipped) into records.
 
+    ``stream`` is a buffered binary stream with ``peek``: ``open(path,
+    "rb")``, or ``io.BufferedReader(io.BytesIO(data))`` for bytes in memory.
     A stream that starts with the gzip magic, or a prefix of it, is
     gunzipped. The loop iterates a buffered reader, which splits the lines in
     C: the stream itself, or for gzip a 64 KiB reader over the decompressed
@@ -139,8 +145,9 @@ def parse_records(
     (a second value included) makes the line malformed. Malformed lines (bad
     UTF-8, bad JSON, text after the value, JSON nested too deep, an integer
     literal too long to convert, missing or invalid required fields) are
-    skipped and counted, never fatal; only an unreadable gzip stream raises
-    ParseError, and a read error of a plain stream propagates unchanged.
+    skipped and counted, never fatal. An unreadable stream raises ParseError,
+    plain or gzip alike: a bad or cut gzip container, or any failed read,
+    the sniffing one included.
     Blank lines are ignored entirely.
 
     ``langs`` is an allow-list of exact language codes; ``url_include`` and
@@ -158,13 +165,7 @@ def parse_records(
     lang_names: dict[str, str] = {}
     malformed = type2_skipped = filtered = pos_clamped = 0
 
-    wrapper = None
-    if not hasattr(stream, "peek"):
-        stream = wrapper = io.BufferedReader(stream)
     lines = stream
-    # read by the except clause when an error is raised: the sniffing read and
-    # a plain stream's read errors propagate unchanged, a gzip stream's do not
-    stream_errors: tuple[type[BaseException], ...] = ()
     try:
         head = stream.peek(2)[:2]
         if head and GZIP_MAGIC.startswith(head):
@@ -176,7 +177,6 @@ def parse_records(
             # splitting the feed-filtered bench files took a quarter less CPU
             # at 64 KiB than at 8 KiB, the same at 128 KiB, more at 256 KiB.
             lines = io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)
-            stream_errors = (OSError, EOFError, zlib.error)
         for raw in lines:
             stripped = raw.strip()
             if not stripped:
@@ -251,13 +251,11 @@ def parse_records(
             lang = lang_names.setdefault(lang, lang)
             # the named tuple's generated __new__ is a Python function
             records.append(tuple.__new__(NgramRecord, (ngram, url, lang, lang_type, pos, pre, post, date)))
-    except stream_errors as exc:
-        raise ParseError(f"unreadable gzip stream: {exc}") from exc
+    except (OSError, EOFError, zlib.error) as exc:
+        raise ParseError(f"unreadable stream: {exc}") from exc
     finally:
         if lines is not stream:
             lines.close()  # the gzip readers
-        if wrapper is not None:
-            wrapper.detach()  # closing our wrapper would close the caller's stream
 
     diags = ParseDiagnostics(
         lines_read=len(records) + malformed + type2_skipped + filtered,

@@ -92,8 +92,6 @@ def levenshtein_distance(a: str, b: str) -> int:
     distance is read off the last column once: row 0's value there,
     ``len(b)``, plus that column's vertical deltas.
     """
-    if a == b:
-        return 0
     na, nb = len(a), len(b)
     lo, hi = 0, min(na, nb)
     while lo < hi:  # a[:lo] == b[:lo], and no common prefix is longer than hi

@@ -242,6 +242,34 @@ class TestReconstructCommand:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert any(str(cut) in r.getMessage() for r in caplog.records)
 
+    def test_plain_file_failing_midway_skips_only_itself(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
+        (tmp_path / "good").mkdir()
+        (tmp_path / "bad").mkdir()
+        good, _ = shred_corpus(tmp_path / "good", [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)])
+        bad, _ = shred_corpus(tmp_path / "bad", [make_article(rng, 60, vocab, vocab_weights) for _ in range(2)])
+        assert bad.stat().st_size > 2 * 4096
+        alone = tmp_path / "alone.ndjson"
+        reconstruct_command(RunConfig(inputs=[good], output=alone))
+
+        class FailsAfter4K(io.FileIO):
+            """A file whose reads fail with EIO once 4 KB are read, as a failing disk's would."""
+
+            def readinto(self, buffer):
+                if self.tell() >= 4096:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return super().readinto(memoryview(buffer)[: 4096 - self.tell()])
+
+        def failing_open(path, mode):
+            return io.BufferedReader(FailsAfter4K(path)) if Path(path) == bad else open(path, mode)
+
+        monkeypatch.setattr("ngramstitch.records.open", failing_open, raising=False)
+        out = tmp_path / "o.ndjson"
+        summary = reconstruct_command(RunConfig(inputs=[good, bad], output=out))
+        assert [path for path, _ in summary.file_errors] == [str(bad)]
+        assert "unreadable stream" in summary.file_errors[0][1]
+        # the bad file shares the good one's URLs: any record it gave would change the articles
+        assert out.read_bytes() == alone.read_bytes()
+
     def test_missing_input_raises_oserror(self, tmp_path):
         config = RunConfig(inputs=[tmp_path / "nope.ndjson"], output=tmp_path / "o.ndjson")
         with pytest.raises(OSError):

@@ -94,7 +94,7 @@ def test_ndjson_round_trip(rng, vocab, vocab_weights):
     text = make_article(rng, 40, vocab, vocab_weights)
     records = shred(text, ShredConfig(window=3), url="https://n.test/rt")
     payload = "\n".join(json.dumps(record_to_json_dict(r)) for r in records)
-    reparsed, diags = parse_records(io.BytesIO(payload.encode()))
+    reparsed, diags = parse_records(io.BufferedReader(io.BytesIO(payload.encode())))
     assert diags.records_ok == len(records)
     assert reparsed == records
 
