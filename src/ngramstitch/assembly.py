@@ -1,20 +1,22 @@
 """Greedy overlap-based reconstruction of one article from its fragments.
 
-The draft starts from the earliest-positioned fragment and grows by merging,
-each round, the unplaced fragment with the largest word overlap against either
-end of the draft, as long as the fragment's position decile is close enough to
-that end. Any overlap of at least ``min_overlap`` (m) words starts with the
-fragment's first m words or ends with its last m, so one index of those m-word
-keys finds every candidate and a slice compare confirms it. Each end keeps
-its best candidate between rounds and is searched again only when a fragment
-was merged onto it, when the fragment it held was merged onto the other end,
-or when the draft was shorter than the longest fragment at its last search
-and has grown since; a fragment fitting both ends equally well is appended.
-Fragments that never reach the overlap threshold are appended at the end in
-position order so no content is silently lost. A final sweep collapses
-adjacent duplicated runs left at bad junctions: it interns each m-word start
-once, keeps one index of each key's last start for the whole call, and after
-each cut tests again only the starts whose compares failed.
+Assembly has two parts, the grow step and the flush. The grow step starts the
+draft from the earliest-positioned fragment and merges, each round, the
+unplaced fragment with the largest word overlap against either end of the
+draft, as long as the fragment's position decile is close enough to that end.
+No fragment has a lower pos than the seed, so the head's pos is the seed's.
+Any overlap of at least ``min_overlap`` (m) words starts with the fragment's
+first m words or ends with its last m, so one index of those m-word keys
+finds every candidate and a slice compare confirms it. Each end keeps its
+best candidate between rounds and is searched again only when a fragment was
+merged onto it, when the fragment it held was merged onto the other end, or
+when the draft was shorter than the longest fragment at its last search and
+has grown since; a fragment fitting both ends equally well is appended. The
+flush then appends the fragments the grow step never merged, in position
+order, so no content is silently lost. A final sweep collapses adjacent
+duplicated runs left at bad junctions: it interns each m-word start once,
+keeps one index of each key's last start for the whole call, and after each
+cut tests again only the starts whose compares failed.
 """
 
 from __future__ import annotations
@@ -66,16 +68,17 @@ def select_seed(fragments: list[Fragment]) -> Fragment:
     return min(fragments, key=lambda f: (f.pos, -len(f.words)))
 
 
-def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) -> ArticleDraft:
-    """Reconstruct an article draft from one URL group's fragments.
+def _grow(fragments: list[Fragment], config: AssemblyConfig) -> tuple[list[str], list[Fragment]]:
+    """Grow one draft from the seed by greedy merges, and return its words
+    and the fragments never merged, in list order, without the seed.
 
-    Greedy loop: every round merges the unplaced fragment with the largest
-    overlap at or above ``min_overlap`` against either draft end, ties broken
-    by lower pos, then list order, and a fragment fitting both ends equally
-    well is appended; the overlapping words are written once. When no
-    fragment qualifies, the rest are flushed onto the end in (pos, list
-    order) and counted as unanchored. Each fragment is placed exactly once,
-    so the result is a pure function of the fragment list and config.
+    Every round merges the unplaced fragment with the largest overlap at or
+    above ``min_overlap`` against either draft end, ties broken by lower pos,
+    then list order, and a fragment fitting both ends equally well is
+    appended; the overlapping words are written once. The loop stops when no
+    fragment qualifies. The seed has the lowest pos of all fragments, so the
+    head's pos stays the seed's, and the head's pos gate is only an upper
+    bound.
 
     Each end keeps its best candidate, as (-k, pos, index) or None, between
     rounds. Between an end's searches its words and pos stay as they were and
@@ -88,13 +91,12 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
       has grown since: an overlap longer than the old draft is new, so only
       those lengths are searched, and the held candidate stands if none fits.
     """
-    cfg = config or AssemblyConfig()
     seed = select_seed(fragments)
-    dw = list(seed.words)  # the draft: its words, and the pos of its head and tail
-    head_pos = tail_pos = seed.pos
+    dw = list(seed.words)  # the draft's words
+    seed_pos = tail_pos = seed.pos  # the head's pos, and the tail's
     items = [f for f in fragments if f is not seed]
 
-    m, window = cfg.min_overlap, cfg.pos_window
+    m, window = config.min_overlap, config.pos_window
     heads: dict[tuple, list[int]] = {}
     tails: dict[tuple, list[int]] = {}
     words_of: list[list[str]] = []
@@ -133,7 +135,7 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
                 found = None
                 for idx in tails.get(tuple(dw[k - m : k]), ()):
                     p = pos[idx]
-                    if (idx in active and -window <= p - head_pos <= window
+                    if (idx in active and p - seed_pos <= window
                             and words_of[idx][-k:] == dw[:k]
                             and (found is None or p < found[1])):
                         found = (-k, p, idx)
@@ -153,19 +155,28 @@ def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) ->
         elif head is not None:
             neg_k, p, idx = head
             dw[:0] = words_of[idx][:neg_k]
-            if p < head_pos:
-                head_pos = p
             head, head_n = None, -1
             if tail is not None and tail[2] == idx:
                 tail, tail_n = None, -1
         else:
             break  # no fragment reaches min_overlap at either end
         active.discard(idx)
+    return dw, [items[i] for i in sorted(active)]
 
-    # flush whatever never anchored, in position order, so nothing is dropped
-    for i in sorted(active, key=lambda i: (pos[i], i)):
-        dw.extend(words_of[i])
-    return ArticleDraft(dw, len(fragments), len(active))
+
+def assemble(fragments: list[Fragment], config: AssemblyConfig | None = None) -> ArticleDraft:
+    """Reconstruct an article draft from one URL group's fragments.
+
+    Two parts: :func:`_grow` merges fragments onto the seed while any
+    reaches ``min_overlap`` at either end, then the flush appends the
+    fragments it never merged in (pos, list order), counted as unanchored,
+    so no content is silently lost. Each fragment is placed exactly once, so
+    the result is a pure function of the fragment list and config.
+    """
+    words, unplaced = _grow(fragments, config or AssemblyConfig())
+    for frag in sorted(unplaced, key=lambda f: f.pos):  # stable: equal pos keeps list order
+        words += frag.words
+    return ArticleDraft(words, len(fragments), len(unplaced))
 
 
 def deduplicate(words: list[str], config: AssemblyConfig | None = None) -> list[str]:

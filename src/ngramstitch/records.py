@@ -76,17 +76,36 @@ class ParseDiagnostics:
         )
 
 
+# The timestamps every supported Python reads alike: CPython 3.10's documented
+# fromisoformat grammar, YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]
+# with * any one character, and YYYYMMDDHHMMSS. Later versions read more ISO
+# 8601 forms; those, and an hour of 24, are refused here.
+_DATE_FORMS = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:.(?:[01][0-9]|2[0-3])(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+    r"|(?P<compact>[0-9]{14})",
+    re.DOTALL,
+)
+
+
 def _parse_date(value: str) -> datetime | None:
+    """The timestamp ``value`` in one of ``_DATE_FORMS``, after stripping and
+    reading a trailing Z as +00:00, and in UTC when it names no offset; None
+    for any other text or an impossible date."""
     text = value.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
+    form = _DATE_FORMS.fullmatch(text)
+    if form is None:
+        return None
     try:
-        parsed = datetime.fromisoformat(text)
+        if form["compact"]:
+            parsed = datetime.strptime(text, "%Y%m%d%H%M%S")
+        else:
+            parsed = datetime.fromisoformat(text)
     except ValueError:
-        try:
-            parsed = datetime.strptime(value.strip(), "%Y%m%d%H%M%S")
-        except ValueError:
-            return None
+        return None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed

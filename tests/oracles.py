@@ -106,12 +106,14 @@ def dedup_reference(words: list[str], min_run: int) -> list[str]:
         del out[i + k : i + 2 * k]
 
 
-def assemble_reference(fragments, min_overlap: int, pos_window: int):
-    """Straight-line greedy assembly mirroring the published contract.
+def grow_reference(fragments, min_overlap: int, pos_window: int):
+    """Straight-line greedy growth of one draft from the seed, mirroring the
+    published contract.
 
     Ties go to the fragment earlier in the list. Returns (words,
-    fragments_used, fragments_unanchored, merges) where merges lists
-    (list position, mode, k) in placement order.
+    unplaced, merges): unplaced lists the list positions of the fragments
+    never merged, seed excluded, in list order, and merges lists (list
+    position, mode, k) in placement order.
     """
     seed = min(
         range(len(fragments)), key=lambda i: (fragments[i].pos, -len(fragments[i].words), i)
@@ -119,7 +121,6 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
     words = list(fragments[seed].words)
     head_pos = tail_pos = fragments[seed].pos
     remaining = [i for i in range(len(fragments)) if i != seed]
-    used, unanchored = 1, 0
     merges = []
 
     while remaining:
@@ -152,14 +153,19 @@ def assemble_reference(fragments, min_overlap: int, pos_window: int):
             words = frag.words[: len(frag.words) - k] + words
             head_pos = min(head_pos, frag.pos)
         remaining.remove(i)
-        used += 1
         merges.append((i, mode, k))
+    return words, remaining, merges
 
-    for i in sorted(remaining, key=lambda i: (fragments[i].pos, i)):
+
+def assemble_reference(fragments, min_overlap: int, pos_window: int):
+    """``grow_reference``, then every fragment it never merged appended in
+    (pos, list position) order. Returns (words, fragments_used,
+    fragments_unanchored, merges), merges as ``grow_reference`` gives them.
+    """
+    words, unplaced, merges = grow_reference(fragments, min_overlap, pos_window)
+    for i in sorted(unplaced, key=lambda i: (fragments[i].pos, i)):
         words = words + fragments[i].words
-        used += 1
-        unanchored += 1
-    return words, used, unanchored, merges
+    return words, 1 + len(merges) + len(unplaced), len(unplaced), merges
 
 
 def parse_reference(data: bytes, langs=None, url_include=(), url_exclude=()):
@@ -189,19 +195,39 @@ def parse_reference(data: bytes, langs=None, url_include=(), url_exclude=()):
                 return None
         return None
 
+    def iso_form(text):
+        # by the shape of the text, "9" for each ASCII digit: CPython 3.10's
+        # documented fromisoformat grammar, with an hour below 24
+        shape = "".join("9" if c in "0123456789" else c for c in text)
+        if shape[:10] != "9999-99-99":
+            return False
+        if len(shape) == 10:
+            return True
+        rest = shape[11:]  # after the date and its one-character separator
+        signs = [i for i, c in enumerate(rest) if c in "+-"]
+        cut = signs[0] if signs else len(rest)
+        return (
+            rest[:cut] in ("99", "99:99", "99:99:99", "99:99:99.999", "99:99:99.999999")
+            and rest[cut:].replace("-", "+") in ("", "+99:99", "+99:99:99", "+99:99:99.999999")
+            and int(text[11:13]) < 24
+        )
+
     def as_date(value):
+        # that grammar or YYYYMMDDHHMMSS; any other text is None on every Python
         if not isinstance(value, str):
             return None
         text = value.strip()
         if text.endswith("Z"):
             text = text[:-1] + "+00:00"
         try:
-            parsed = datetime.fromisoformat(text)
-        except ValueError:
-            try:
-                parsed = datetime.strptime(value.strip(), "%Y%m%d%H%M%S")
-            except ValueError:
+            if len(text) == 14 and all(c in "0123456789" for c in text):
+                parsed = datetime.strptime(text, "%Y%m%d%H%M%S")
+            elif iso_form(text):
+                parsed = datetime.fromisoformat(text)
+            else:
                 return None
+        except ValueError:
+            return None
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=timezone.utc)
         return parsed

@@ -5,7 +5,7 @@ import io
 import json
 import os
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +16,7 @@ from ngramstitch.records import (
     ParseDiagnostics,
     ParseError,
     group_by_url,
+    _parse_date,
     parse_records,
     record_to_json_dict,
 )
@@ -61,6 +62,31 @@ def test_single_line_field_for_field():
     assert rec.url == "https://x.com/a"
     assert rec.date == datetime(2023, 12, 20, 10, 15, tzinfo=timezone.utc)
     assert diags.records_ok == 1 and diags.lines_read == 1
+
+
+UTC = timezone.utc
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2023-12-20T10:15:00Z", datetime(2023, 12, 20, 10, 15, tzinfo=UTC)),
+    ("2023-12-20T10:15:00.500Z", datetime(2023, 12, 20, 10, 15, 0, 500000, tzinfo=UTC)),
+    ("20231220101500", datetime(2023, 12, 20, 10, 15, tzinfo=UTC)),
+    (" 2023-12-20 ", datetime(2023, 12, 20, tzinfo=UTC)),
+    # any one character separates the date from the time; an offset may hold seconds
+    ("2023-12-20\n10:15", datetime(2023, 12, 20, 10, 15, tzinfo=UTC)),
+    ("2023-12-20T10:15+05:30:10.123456", datetime(2023, 12, 20, 10, 15, tzinfo=timezone(
+        timedelta(hours=5, minutes=30, seconds=10, microseconds=123456)))),
+    # CPython 3.11's fromisoformat reads these, 3.10's does not
+    ("20231220", None),
+    ("20231220T101500", None),
+    ("2023-12-20T10:15:00.5Z", None),
+    ("2023-W51-3", None),
+    # 3.11 reads this as 01:50
+    ("20231220101500Z", None),
+    ("2023-12-20T24:00:00", None),
+])
+def test_parse_date_reads_one_grammar_on_every_python(text, expected):
+    assert _parse_date(text) == expected
 
 
 def test_gzip_detected_by_magic():
@@ -315,6 +341,11 @@ VALID_VALUES = {
             "2023-12-20T10:15:00+02:00",
             "20231220101500",
             " 2023-12-20 ",
+            # read by CPython 3.11's fromisoformat, not by 3.10's
+            "20231220",
+            "20231220T101500",
+            "2023-12-20T10:15:00.5Z",
+            "2023-W51-3",
             "not a date",
             None,
             ["2023-12-20"],
