@@ -9,13 +9,12 @@ import json
 import logging
 import os
 import tempfile
+import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import accumulate
 from pathlib import Path
 from string import Formatter
 from typing import IO, Iterable, Iterator, NamedTuple, NoReturn, Sequence
@@ -163,11 +162,18 @@ def reconstruct_group(
     )
 
 
-def _reconstruct_isolated(url: str, records: Sequence[NgramRecord], config: AssemblyConfig):
-    """The group's (article, error) pair. Never raises, so one bad group
-    cannot kill a batch."""
+def _reconstruct_isolated(
+    url: str, records: Sequence[NgramRecord], config: AssemblyConfig
+) -> tuple[bytes | None, str | None]:
+    """The group's (line, error) pair: its finished corpus line as UTF-8
+    bytes, or None when no fragment survives, and the error it raised, or
+    None. Never raises, so one bad group, such as one whose text cannot be
+    written as UTF-8, cannot kill a batch."""
     try:
-        return reconstruct_group(url, records, config), None
+        article = reconstruct_group(url, records, config)
+        if article is None:
+            return None, None
+        return (json.dumps(article.to_json_dict(), ensure_ascii=False) + "\n").encode("utf-8"), None
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -176,7 +182,7 @@ def _run_share(
     urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, path: str, sigmask: set
 ) -> NoReturn:
     """A forked pool child's whole life: reconstruct the groups of ``urls``,
-    pickle their (article, error) pairs, in that order, to ``path``, and
+    pickle their (line, error) pairs, in that order, to ``path``, and
     leave through ``os._exit``, never returning into the caller's code. The
     exit status is 0 only once the file is complete. The child starts with
     SIGINT and SIGTERM blocked and restores ``sigmask`` only inside its
@@ -195,70 +201,60 @@ def _run_share(
         os._exit(status)
 
 
-def _shares(urls: list[str], groups: dict[str, list[NgramRecord]], count: int) -> list[tuple[int, int]]:
-    """``urls`` cut into ``count`` consecutive non-empty runs, as (lo, hi)
-    index ranges, holding about the same number of records each."""
-    ends = list(accumulate(len(groups[url]) for url in urls))
-    cuts = [0]
-    for k in range(1, count):
-        cut = bisect_left(ends, ends[-1] * k / count) + 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(urls) - count + k))
-    cuts.append(len(urls))
-    return list(zip(cuts, cuts[1:]))
-
-
 def _reconstruct_in_pool(
     urls: list[str], groups: dict[str, list[NgramRecord]], assembly: AssemblyConfig, workers: int
 ) -> list:
-    """Reconstruct the groups of ``urls`` in ``workers`` forked child
-    processes and return their (article, error) pairs in the order of
+    """Reconstruct the groups of ``urls`` in ``workers`` (at least 2) forked
+    child processes and return their (line, error) pairs in the order of
     ``urls``. Needs ``os.fork``.
 
-    The URLs are cut into ``workers`` consecutive shares of about equal
-    record counts, and each share runs in a child of its own, which reads
-    its groups from the memory it inherits (no record is pickled) and
-    pickles its results to its own file in a temporary directory. The parent
-    reads that file only once the child has exited with status 0. A child
-    that dies has its share split in half, and each half runs in a fresh
-    child, down to a single URL, which is reported as a ``worker died`` group
-    error. So a dying group costs only itself and O(log share) extra
-    children, and no group is ever run in the parent. If the parent is
-    interrupted, or a fork fails, it kills and reaps its running children
-    before the exception propagates. SIGINT and SIGTERM are blocked from
-    each fork until its child is recorded: a handler that raised in between,
-    or in the fork's own hooks, which swallow exceptions, would leave that
-    child running or the signal lost."""
+    The URLs are dealt round-robin into ``workers`` shares: share k is the
+    ``range`` of indices k, k + workers, ... into ``urls``. Each share runs
+    in a child of its own, which reads its groups from the memory it
+    inherits (no record is pickled) and pickles its results to its own file
+    in a temporary directory. The parent reads that file only once the child
+    has exited with status 0. A child that dies has its share split into two
+    ``range`` halves, and each half runs in a fresh child, down to a single
+    URL, which is reported as a ``worker died`` group error. So a dying
+    group costs only itself and O(log share) extra children, and no group is
+    ever run in the parent. If the parent is interrupted, or a fork fails,
+    it kills and reaps its running children before the exception
+    propagates. SIGINT and SIGTERM are blocked from each fork until its
+    child is recorded: a handler that raised in between, or in the fork's
+    own hooks, which swallow exceptions, would leave that child running or
+    the signal lost."""
     import pickle
     import signal
 
     results: list = [None] * len(urls)
-    pending = deque(_shares(urls, groups, workers))
+    pending = deque(range(first, len(urls), workers) for first in range(workers))
     running: deque = deque()
     with tempfile.TemporaryDirectory(prefix="ngramstitch-") as tmp:
         try:
             while pending or running:
                 while pending and len(running) < workers:
-                    lo, hi = pending.popleft()
-                    path = os.path.join(tmp, f"{lo}-{hi}.pickle")
+                    share = pending.popleft()
+                    path = os.path.join(tmp, f"{share.start}-{share.stop}-{share.step}.pickle")
                     sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
                     try:
                         pid = os.fork()
                         if pid == 0:
-                            _run_share(urls[lo:hi], groups, assembly, path, sigmask)
-                        running.append((lo, hi, path, pid))
+                            _run_share([urls[i] for i in share], groups, assembly, path, sigmask)
+                        running.append((share, path, pid))
                     finally:
                         signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
-                lo, hi, path, pid = running[0]
+                share, path, pid = running[0]
                 exitcode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 running.popleft()
                 if exitcode == 0:
                     with open(path, "rb") as fh:
-                        results[lo:hi] = pickle.load(fh)
-                elif hi - lo == 1:
-                    results[lo] = (None, f"worker died: exit code {exitcode}")
+                        # the step is workers, at least 2, so a length mismatch raises
+                        results[share.start : share.stop : share.step] = pickle.load(fh)
+                elif len(share) == 1:
+                    results[share.start] = (None, f"worker died: exit code {exitcode}")
                 else:
-                    mid = (lo + hi) // 2
-                    pending += ((lo, mid), (mid, hi))
+                    half = len(share) // 2
+                    pending += (share[:half], share[half:])
         finally:
             for *_, pid in running:
                 # a handler that raised right after a wait left its reaped child here
@@ -300,13 +296,16 @@ def expand_inputs(inputs: Iterable[str | Path]) -> list[Path]:
 def reconstruct_command(config: RunConfig) -> RunSummary:
     """Parse all inputs, reconstruct every URL group, write the corpus.
 
-    Output is NDJSON, one article per line, sorted by URL so the file bytes
-    are identical for any worker count. It is written through
+    Output is NDJSON, one article per line, each line ending in a single LF
+    byte on every platform, sorted by URL so the file bytes are identical
+    for any worker count. Each group's result is a (line, error) pair, the
+    line already UTF-8 bytes, and one loop writes the lines through
     :func:`open_replacing`, so a failed write leaves any previous corpus
-    intact. A group that raises, or that kills the worker process running
-    it (see :func:`_reconstruct_in_pool`), is counted in ``groups_skipped``
-    and listed in ``group_errors``; every other group is written as a serial
-    run writes it. An unreadable file (ParseError: a truncated gzip, or any
+    intact. A group that raises, one whose text cannot be written as UTF-8
+    (a lone surrogate from a JSON escape), and one that kills the worker
+    process running it (see :func:`_reconstruct_in_pool`) are counted in
+    ``groups_skipped`` and listed in ``group_errors``; every other group is
+    written as a serial run writes it. An unreadable file (ParseError: a truncated gzip, or any
     file whose read fails midway) is listed in ``file_errors`` and
     contributes no records, not even those read before the break. Raises
     ParseError when every input file is unreadable, EmptyInputError when
@@ -358,7 +357,7 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             raise EmptyInputError("\n".join(lines))
 
         groups = group_by_url(records)
-        urls = sorted(groups)  # orders the shares, their results and the corpus lines
+        urls = sorted(groups)  # orders the results and the corpus lines
         workers = min(config.workers, len(urls)) if hasattr(os, "fork") else 1
         if workers > 1:
             results = _reconstruct_in_pool(urls, groups, config.assembly, workers)
@@ -366,22 +365,17 @@ def reconstruct_command(config: RunConfig) -> RunSummary:
             results = [_reconstruct_isolated(url, groups[url], config.assembly) for url in urls]
 
         summary = RunSummary(groups=len(urls), diagnostics=diagnostics, file_errors=file_errors)
-        articles: list[ReconstructedArticle] = []
-        for url, (article, error) in zip(urls, results, strict=True):
-            if error is not None:
-                logger.info("skipping group %s: %s", url, error)
-                summary.group_errors.append((url, error))
-            elif article is None:
-                logger.info("skipping group %s: no usable fragments", url)
-            else:
-                articles.append(article)
+        with open_replacing(config.output, "wb") as fh:
+            for url, (line, error) in zip(urls, results, strict=True):
+                if error is not None:
+                    logger.info("skipping group %s: %s", url, error)
+                    summary.group_errors.append((url, error))
+                elif line is None:
+                    logger.info("skipping group %s: no usable fragments", url)
+                else:
+                    fh.write(line)
+                    summary.articles += 1
 
-        with open_replacing(config.output) as fh:
-            for article in articles:
-                fh.write(json.dumps(article.to_json_dict(), ensure_ascii=False))
-                fh.write("\n")
-
-    summary.articles = len(articles)
     summary.wall_time_s = time.perf_counter() - started
     return summary
 
@@ -401,10 +395,12 @@ def read_corpus(path: str | Path) -> dict[str, str]:
                 url, text = obj["url"], obj["text"]
                 if not (isinstance(url, str) and isinstance(text, str)):
                     raise TypeError("url and text must be strings")
+                url.encode("utf-8")  # a lone surrogate from a JSON escape; the text never reaches an output
             except (ValueError, RecursionError, TypeError, KeyError) as exc:
-                # ValueError covers bad UTF-8, bad JSON and an integer literal
-                # past the interpreter's digit limit; RecursionError is JSON
-                # nested deeper than the decoder's recursion limit.
+                # ValueError covers bad UTF-8, bad JSON, a URL that cannot be
+                # written as UTF-8 and an integer literal past the
+                # interpreter's digit limit; RecursionError is JSON nested
+                # deeper than the decoder's recursion limit.
                 raise ValueError(f"{path}:{lineno}: not a valid corpus line ({exc})") from exc
             if url not in texts:
                 texts[url] = text
@@ -479,7 +475,8 @@ def fetch_window(
     template must be an http(s) URL whose only placeholder is ``{timestamp}``,
     in the file name (after the last ``/``) so that each tick gets a file of
     its own, expanded to the UTC tick as YYYYMMDDHHMMSS, and ``timeout``
-    (seconds per request) must be positive; any other template or timeout
+    (seconds per request) must be positive and at most
+    ``threading.TIMEOUT_MAX``, the most a socket holds; any other template or timeout
     raises ValueError before ``dest`` is created or anything is requested.
     Only HTTP 200 is saved; 404 and any other status below 500 are skipped
     with a warning. Transient failures (5xx, connection errors, timeouts,
@@ -508,8 +505,10 @@ def fetch_window(
         raise ValueError(f"template {template!r} must put {{timestamp}} in the file name, after the last '/'")
     if urlsplit(template).scheme not in ("http", "https"):
         raise ValueError(f"unknown url type in template {template!r}: it must be an http(s) URL")
-    if not timeout > 0:  # also rejects NaN
-        raise ValueError(f"timeout must be a positive number of seconds, not {timeout!r}")
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # also rejects NaN and inf; a socket holds no more
+        raise ValueError(
+            f"timeout must be a positive number of seconds, at most {threading.TIMEOUT_MAX}, not {timeout!r}"
+        )
     dest_dir = Path(dest)
     dest_dir.mkdir(parents=True, exist_ok=True)
 

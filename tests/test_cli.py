@@ -576,7 +576,7 @@ def test_fetch_unparseable_timestamp_is_usage_error(runner, tmp_path, http_serve
         ),
         *(
             pytest.param("--timeout", value, "timeout must be a positive", id=f"--timeout {value}")
-            for value in ["0", "-1", "nan"]
+            for value in ["0", "-1", "nan", "inf", "1e10"]
         ),
     ],
 )

@@ -28,7 +28,6 @@ from ngramstitch.cli import main
 from ngramstitch.pipeline import (
     DEFAULT_FETCH_TEMPLATE,
     EmptyInputError,
-    ReconstructedArticle,
     RunConfig,
     expand_inputs,
     fetch_window,
@@ -132,20 +131,25 @@ class TestReconstructCommand:
         # file may be cut inside its gzip stream (unreadable: a file error
         # that gives no record, not even those before the cut) or carry a
         # line that is not UTF-8 (malformed); one URL may raise in
-        # reconstruct_group (a group error); a pool may run the groups, and
-        # then, now and then, one URL kills the worker running it (a group
-        # error too, and only its own). A small vocabulary makes ties and
-        # unanchored fragments common, so records that arrive in another
-        # order can change a group's text.
+        # reconstruct_group (a group error); one URL's records may carry a
+        # lone-surrogate escape in pre, valid JSON whose text cannot be
+        # written as UTF-8 (a group error in the clean run too); a pool may
+        # run the groups, and then, now and then, one URL kills the worker
+        # running it (a group error too, and only its own). A small
+        # vocabulary makes ties and unanchored fragments common, so records
+        # that arrive in another order can change a group's text.
         rnd = random.Random(seed)
         vocab = make_vocab(60)
         weights = zipf_weights(len(vocab))
         urls = [f"https://n.test/{i}" for i in range(data.draw(st.integers(0, 4)))]
+        unencodable = data.draw(st.sampled_from([None, *urls]))
         lines = []
         for i, url in enumerate(urls):
             text = make_article(rnd, rnd.randrange(20, 80), vocab, weights)
             config = ShredConfig(window=rnd.randrange(3, 8), drop_rate=0.3, seed=seed + i)
             for record in shred(text, config, url=url):
+                if url == unencodable:  # every fragment, so the text, holds the surrogate
+                    record = record._replace(pre=f"\ud800 {record.pre}")
                 lines.append(json.dumps(record_to_json_dict(record)).encode() + b"\n")
         rnd.shuffle(lines)  # each group's records spread over every file
         lines.insert(data.draw(st.integers(0, len(lines))), b"{not json\n")
@@ -191,7 +195,7 @@ class TestReconstructCommand:
             # only where the pool runs, as a forked worker: a serial run would die with it
             if workers == 2 and len(groups) > 1 and data.draw(st.integers(0, 3)) == 0:
                 dying = data.draw(st.sampled_from(groups))
-            failing = [url for url in groups if url in (raising, dying)]
+            failing = [url for url in groups if url in (raising, dying, unencodable)]
 
             config = RunConfig(inputs=parts, output=tmp / "split.ndjson", workers=workers)
             with patch.object(pipeline, "reconstruct_group", fails_on_one_or_two_urls):
@@ -210,7 +214,9 @@ class TestReconstructCommand:
         assert corpus == b"".join(line for line in clean_lines if json.loads(line)["url"] not in failing)
         assert [url for url, _ in split.group_errors] == failing
         for url, error in split.group_errors:
-            assert ("worker died" if url == dying else "injected") in error
+            expected = "worker died" if url == dying else "injected" if url == raising else "UnicodeEncodeError"
+            assert expected in error
+        assert [url for url, _ in clean.group_errors] == [url for url in groups if url == unencodable]
         assert [path for path, _ in split.file_errors] == [str(part) for part in unreadable]
         assert split.diagnostics == clean.diagnostics
         articles = [json.loads(line) for line in corpus.splitlines()]
@@ -286,20 +292,6 @@ class TestReconstructCommand:
         assert summary.articles == 1
         assert list(read_corpus(out)) == ["https://n.test/it"]
 
-    @pytest.mark.parametrize(
-        "sizes, count, shares",
-        [
-            ([5, 5, 5, 5], 2, [(0, 2), (2, 4)]),
-            ([100, 1, 1, 1, 1], 2, [(0, 1), (1, 5)]),
-            ([1, 1, 1, 1, 100], 2, [(0, 4), (4, 5)]),
-            ([1, 1, 1, 1, 100], 3, [(0, 3), (3, 4), (4, 5)]),
-            ([100, 1, 1], 3, [(0, 1), (1, 2), (2, 3)]),
-        ],
-    )
-    def test_shares_hold_about_equal_records(self, sizes, count, shares):
-        groups = {f"u{i}": [None] * size for i, size in enumerate(sizes)}
-        assert pipeline._shares(sorted(groups), groups, count) == shares
-
     @pytest.mark.skipif(not FORK, reason="needs os.fork")
     def test_forked_pool_pickles_no_record(self, tmp_path, rng, vocab, vocab_weights):
         class Unpicklable(str):
@@ -315,7 +307,7 @@ class TestReconstructCommand:
         }
         urls, assembly = sorted(groups), AssemblyConfig()
         serial = [pipeline._reconstruct_isolated(url, groups[url], assembly) for url in urls]
-        assert all(article is not None and error is None for article, error in serial)
+        assert all(line is not None and error is None for line, error in serial)
         assert pipeline._reconstruct_in_pool(urls, groups, assembly, 2) == serial
 
     def test_without_fork_the_groups_run_in_process(self, tmp_path, rng, vocab, vocab_weights, monkeypatch):
@@ -533,19 +525,28 @@ class TestReconstructCommand:
         out = tmp_path / "out" / "corpus.ndjson"
         out.parent.mkdir()
         out.write_bytes(b'{"url": "old", "text": "previous run"}\n')
-        real_to_json_dict = ReconstructedArticle.to_json_dict
-        calls = []
+        real_open_replacing = pipeline.open_replacing
+        writes = []
 
-        def fails_on_second_article(article):
-            calls.append(article.url)
-            if len(calls) == 2:
-                raise RuntimeError("disk went away")
-            return real_to_json_dict(article)
+        class FailsOnSecondWrite:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(ReconstructedArticle, "to_json_dict", fails_on_second_article)
-        with pytest.raises(RuntimeError):
+            def write(self, data):
+                writes.append(data)
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        @contextmanager
+        def failing_open_replacing(path, mode="w"):
+            with real_open_replacing(path, mode) as fh:
+                yield FailsOnSecondWrite(fh)
+
+        monkeypatch.setattr(pipeline, "open_replacing", failing_open_replacing)
+        with pytest.raises(OSError, match="No space left"):
             reconstruct_command(RunConfig(inputs=[records_path], output=out))
-        assert len(calls) == 2
+        assert len(writes) == 2
         assert out.read_bytes() == b'{"url": "old", "text": "previous run"}\n'
         assert [p.name for p in out.parent.iterdir()] == ["corpus.ndjson"]
 
@@ -711,8 +712,9 @@ class TestValidateCommand:
             '{"url": "u2", "text": null}',
             '{"url": ["x"], "text": "x"}',
             '{"url": "u2", "text": "caf\xe9"}',  # written as latin-1: not UTF-8
+            '{"url": "u\\ud800", "text": "x"}',  # a lone surrogate: valid JSON, not a UTF-8 URL
         ],
-        ids=["no-text", "int-url", "null-text", "list-url", "latin-1"],
+        ids=["no-text", "int-url", "null-text", "list-url", "latin-1", "surrogate-url"],
     )
     def test_malformed_corpus_line_raises(self, tmp_path, line):
         # both files hold the bad line next to a string URL, so a line let
